@@ -54,4 +54,15 @@ std::string JsonPath(const std::string& name) {
   return OutPath(name, "json");
 }
 
+void AppendEvNames(std::vector<std::string>& header) {
+  for (std::size_t e = 0; e < stats::kNumEvs; ++e)
+    header.emplace_back(stats::EvName(static_cast<stats::Ev>(e)));
+}
+
+void AppendEvCounts(std::vector<std::string>& row,
+                    const stats::Recorder& rec) {
+  for (std::size_t e = 0; e < stats::kNumEvs; ++e)
+    row.push_back(std::to_string(rec.Count(static_cast<stats::Ev>(e))));
+}
+
 }  // namespace hmdsm::bench

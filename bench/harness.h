@@ -3,6 +3,9 @@
 #pragma once
 
 #include <string>
+#include <vector>
+
+#include "src/stats/stats.h"
 
 namespace hmdsm::bench {
 
@@ -29,5 +32,11 @@ std::string CsvPath(const std::string& name);
 /// rides alongside a bench's CSV — the artifact cross-PR perf tracking
 /// diffs.
 std::string JsonPath(const std::string& name);
+
+/// The CSV twin of stats::WriteRecorderJson's counter keys: appends one
+/// column per stats::Ev, named by EvName (to a header) or holding `rec`'s
+/// count (to a row), in enum order.
+void AppendEvNames(std::vector<std::string>& header);
+void AppendEvCounts(std::vector<std::string>& row, const stats::Recorder& rec);
 
 }  // namespace hmdsm::bench

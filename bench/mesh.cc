@@ -20,9 +20,9 @@
 //     finished hot path). Smoke keeps the endpoints: baseline + delta_shm.
 //
 // Checksums must agree with the sim run everywhere: every throughput row
-// is also a cross-backend data-integrity witness. Lead-rank metrics travel
-// back to the fork parent on a pipe (the same pattern the cross-backend
-// conformance suite uses).
+// is also a cross-backend data-integrity witness. The lead rank's report
+// travels back to the fork parent through netio::RunLocalMeshForLead (as
+// in the cross-backend conformance suite).
 //
 // --smoke runs a two-pattern subset at tiny scale for CI; --nodes/--reps/
 // --objects/--bytes override the defaults; CSV + JSON land in results/.
@@ -34,8 +34,6 @@
 // process count stays at most 8 regardless of rank count (the epoll
 // reactor keeps the per-process thread count flat too). ops/s and us/msg
 // per rank count land in results/scaling.json.
-#include <unistd.h>
-
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -71,151 +69,6 @@ workload::Scenario StripDelays(workload::Scenario s) {
   return s;
 }
 
-/// What the lead rank measures and ships back to the fork parent. The
-/// write/frame counters and latency summaries are cluster totals: every
-/// rank's transport folds its window into the coordinator's stats gather.
-struct MeshMetrics {
-  std::uint64_t checksum = 0;
-  std::uint64_t ops = 0;
-  double seconds = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t sent_messages = 0;
-  std::uint64_t received_messages = 0;
-  std::uint64_t socket_writes = 0;
-  std::uint64_t wire_frames = 0;
-  std::uint64_t wire_frames_coalesced = 0;
-  std::uint64_t wire_delta_hits = 0;
-  std::uint64_t wire_delta_misses = 0;
-  std::uint64_t wire_delta_bytes_saved = 0;
-  std::uint64_t shm_msgs = 0;
-  std::uint64_t mailbox_overflow_allocs = 0;
-  std::uint64_t rx_buffer_allocs = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t mig_rejections = 0;
-  /// Total decision-ledger entries (live + evicted) across all ranks.
-  std::uint64_t decisions = 0;
-  gos::HistSummary rtt[stats::kNumMsgCats];
-  gos::HistSummary mailbox_dwell;
-  gos::HistSummary socket_write_ns;
-  gos::HistSummary adaptation;
-  /// Cluster-merged windowed counter deltas (poll-driven sampling).
-  stats::Timeseries series;
-};
-
-void PackHist(Writer& w, const gos::HistSummary& h) {
-  w.u64(h.count);
-  w.f64(h.mean);
-  w.u64(h.p50);
-  w.u64(h.p95);
-  w.u64(h.p99);
-  w.u64(h.max);
-}
-
-gos::HistSummary UnpackHist(Reader& r) {
-  gos::HistSummary h;
-  h.count = r.u64();
-  h.mean = r.f64();
-  h.p50 = r.u64();
-  h.p95 = r.u64();
-  h.p99 = r.u64();
-  h.max = r.u64();
-  return h;
-}
-
-Bytes Pack(const MeshMetrics& m) {
-  Writer w;
-  w.u64(m.checksum);
-  w.u64(m.ops);
-  w.f64(m.seconds);
-  w.u64(m.messages);
-  w.u64(m.sent_messages);
-  w.u64(m.received_messages);
-  w.u64(m.socket_writes);
-  w.u64(m.wire_frames);
-  w.u64(m.wire_frames_coalesced);
-  w.u64(m.wire_delta_hits);
-  w.u64(m.wire_delta_misses);
-  w.u64(m.wire_delta_bytes_saved);
-  w.u64(m.shm_msgs);
-  w.u64(m.mailbox_overflow_allocs);
-  w.u64(m.rx_buffer_allocs);
-  w.u64(m.migrations);
-  w.u64(m.mig_rejections);
-  w.u64(m.decisions);
-  for (const gos::HistSummary& h : m.rtt) PackHist(w, h);
-  PackHist(w, m.mailbox_dwell);
-  PackHist(w, m.socket_write_ns);
-  PackHist(w, m.adaptation);
-  m.series.Encode(w);
-  return w.take();
-}
-
-bool Unpack(const Bytes& blob, MeshMetrics* out) {
-  if (blob.empty()) return false;
-  try {
-    Reader r(blob);
-    out->checksum = r.u64();
-    out->ops = r.u64();
-    out->seconds = r.f64();
-    out->messages = r.u64();
-    out->sent_messages = r.u64();
-    out->received_messages = r.u64();
-    out->socket_writes = r.u64();
-    out->wire_frames = r.u64();
-    out->wire_frames_coalesced = r.u64();
-    out->wire_delta_hits = r.u64();
-    out->wire_delta_misses = r.u64();
-    out->wire_delta_bytes_saved = r.u64();
-    out->shm_msgs = r.u64();
-    out->mailbox_overflow_allocs = r.u64();
-    out->rx_buffer_allocs = r.u64();
-    out->migrations = r.u64();
-    out->mig_rejections = r.u64();
-    out->decisions = r.u64();
-    for (gos::HistSummary& h : out->rtt) h = UnpackHist(r);
-    out->mailbox_dwell = UnpackHist(r);
-    out->socket_write_ns = UnpackHist(r);
-    out->adaptation = UnpackHist(r);
-    out->series = stats::Timeseries::Decode(r);
-    return r.done();
-  } catch (const CheckError&) {
-    return false;
-  }
-}
-
-MeshMetrics FromReport(const gos::RunReport& report, std::uint64_t checksum,
-                       std::uint64_t ops) {
-  MeshMetrics m;
-  m.checksum = checksum;
-  m.ops = ops;
-  m.seconds = report.seconds;
-  m.messages = report.messages;
-  m.sent_messages = report.sent_messages;
-  m.received_messages = report.received_messages;
-  m.socket_writes = report.socket_writes;
-  m.wire_frames = report.wire_frames;
-  m.wire_frames_coalesced = report.wire_frames_coalesced;
-  m.wire_delta_hits = report.wire_delta_hits;
-  m.wire_delta_misses = report.wire_delta_misses;
-  m.wire_delta_bytes_saved = report.wire_delta_bytes_saved;
-  m.shm_msgs = report.shm_msgs;
-  m.mailbox_overflow_allocs = report.mailbox_overflow_allocs;
-  m.rx_buffer_allocs = report.rx_buffer_allocs;
-  m.migrations = report.migrations;
-  m.mig_rejections = report.mig_rejections;
-  m.decisions = report.ledger.size() + report.ledger.dropped();
-  for (std::size_t i = 0; i < stats::kNumMsgCats; ++i) m.rtt[i] = report.rtt[i];
-  m.mailbox_dwell = report.mailbox_dwell;
-  m.socket_write_ns = report.socket_write_ns;
-  m.adaptation = report.adaptation;
-  m.series = report.series;
-  return m;
-}
-
-/// Forks a localhost mesh, runs `lead_metrics` in every rank (SPMD), and
-/// returns the lead's metrics via a pipe. False when any rank failed. With
-/// `trace_path` set, every rank writes a Chrome trace shard on teardown
-/// and the parent merges them into one Perfetto-loadable file.
 /// One wire configuration of the sockets transport under measurement.
 struct WireConfig {
   std::string name;  // the row's config label
@@ -224,16 +77,21 @@ struct WireConfig {
   bool shm = false;
 };
 
-bool RunOnMesh(std::size_t nodes, std::size_t ranks_per_proc,
-               std::size_t io_threads, const WireConfig& wire,
-               const std::string& trace_path,
-               const std::function<MeshMetrics(gos::VmOptions)>& lead_metrics,
-               MeshMetrics* out) {
-  int fds[2];
-  if (::pipe(fds) != 0) return false;
-  const int status = netio::RunLocalMesh(
-      nodes, ranks_per_proc, [&](const netio::LocalRank& self) {
-        ::close(fds[0]);
+/// Forks a localhost mesh, runs `run` in every rank (SPMD), and returns the
+/// lead's result (its report's counters are cluster totals: every rank's
+/// transport folds its window into the coordinator's stats gather). False
+/// when any rank failed. With `trace_path` set, every rank writes a Chrome
+/// trace shard on teardown and the parent merges them into one
+/// Perfetto-loadable file.
+bool RunOnMesh(
+    std::size_t nodes, std::size_t ranks_per_proc, std::size_t io_threads,
+    const WireConfig& wire, const std::string& trace_path,
+    const std::function<workload::ScenarioResult(gos::VmOptions)>& run,
+    workload::ScenarioResult* out) {
+  Bytes blob;
+  const int status = netio::RunLocalMeshForLead(
+      nodes, ranks_per_proc,
+      [&](const netio::LocalRank& self) {
         gos::VmOptions vm;
         vm.nodes = self.peers.size();
         vm.dsm.policy = "AT";
@@ -247,51 +105,52 @@ bool RunOnMesh(std::size_t nodes, std::size_t ranks_per_proc,
         vm.sockets.wire_delta = wire.wire_delta;
         vm.sockets.shm = wire.shm;
         vm.trace_out = trace_path;
-        try {
-          const MeshMetrics m = lead_metrics(std::move(vm));
-          if (self.rank == 0) {
-            const Bytes blob = Pack(m);
-            if (::write(fds[1], blob.data(), blob.size()) !=
-                static_cast<ssize_t>(blob.size())) {
-              return 3;
-            }
-          }
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "bench_mesh rank %u: %s\n", self.rank,
-                       e.what());
-          return 1;
-        }
-        ::close(fds[1]);
-        return 0;
-      });
-  ::close(fds[1]);
-  Bytes blob;
-  Byte buf[4096];
-  ssize_t n;
-  while ((n = ::read(fds[0], buf, sizeof buf)) > 0)
-    blob.insert(blob.end(), buf, buf + n);
-  ::close(fds[0]);
+        const workload::ScenarioResult res = run(std::move(vm));
+        Writer w;
+        w.u64(res.checksum);
+        w.u64(res.ops_executed);
+        gos::EncodeReport(w, res.report);
+        return w.take();
+      },
+      &blob);
   if (status == 0 && !trace_path.empty())
     trace::MergeChromeShards(trace_path, nodes);
-  return status == 0 && Unpack(blob, out);
+  if (status != 0) return false;
+  try {
+    Reader r(blob);
+    out->checksum = r.u64();
+    out->ops_executed = r.u64();
+    out->report = gos::DecodeReport(r);
+    return r.done();
+  } catch (const CheckError&) {
+    return false;
+  }
 }
 
 /// One measured configuration of one workload.
 struct Row {
   std::string workload;
   std::string config;  // threads_inject | sockets_batch | sockets_nobatch
-  MeshMetrics m;
+  workload::ScenarioResult res;
   bool ok = false;          // run completed and metrics parsed
   bool checksum_ok = false;  // matches the sim reference
 };
 
-double UsPerMsg(const MeshMetrics& m) {
-  return m.messages > 0 ? m.seconds * 1e6 / static_cast<double>(m.messages)
-                        : 0.0;
+double UsPerMsg(const workload::ScenarioResult& r) {
+  return r.report.messages > 0 ? r.report.seconds * 1e6 /
+                                     static_cast<double>(r.report.messages)
+                               : 0.0;
 }
 
-double OpsPerSec(const MeshMetrics& m) {
-  return m.seconds > 0 ? static_cast<double>(m.ops) / m.seconds : 0.0;
+double OpsPerSec(const workload::ScenarioResult& r) {
+  return r.report.seconds > 0
+             ? static_cast<double>(r.ops_executed) / r.report.seconds
+             : 0.0;
+}
+
+/// Total decision-ledger entries (live + evicted) across all ranks.
+std::uint64_t Decisions(const gos::RunReport& r) {
+  return r.totals.Ledger().size() + r.totals.Ledger().dropped();
 }
 
 /// The --scaling sweep: the hotspot pattern at growing rank counts, each
@@ -319,7 +178,7 @@ int RunScalingSweep(const Flags& flags, bool smoke) {
     std::size_t nodes = 0;
     std::size_t ranks_per_proc = 0;
     std::size_t procs = 0;
-    MeshMetrics m;
+    workload::ScenarioResult res;
     bool ok = false;
     bool checksum_ok = false;
   };
@@ -353,13 +212,9 @@ int RunScalingSweep(const Flags& flags, bool smoke) {
 
     pt.ok = RunOnMesh(
         n, pt.ranks_per_proc, io_threads, wire, /*trace_path=*/{},
-        [&](gos::VmOptions vm) {
-          const workload::ScenarioResult res =
-              workload::RunScenario(vm, scenario);
-          return FromReport(res.report, res.checksum, res.ops_executed);
-        },
-        &pt.m);
-    pt.checksum_ok = pt.ok && pt.m.checksum == sim.checksum;
+        [&](gos::VmOptions vm) { return workload::RunScenario(vm, scenario); },
+        &pt.res);
+    pt.checksum_ok = pt.ok && pt.res.checksum == sim.checksum;
     all_ok = all_ok && pt.ok && pt.checksum_ok;
     points.push_back(pt);
     std::printf("  %3zu ranks / %zu procs (rpp=%zu): %s\n", n, pt.procs,
@@ -381,12 +236,12 @@ int RunScalingSweep(const Flags& flags, bool smoke) {
     t.AddRow({FmtI(static_cast<long long>(p.nodes)),
               FmtI(static_cast<long long>(p.procs)),
               FmtI(static_cast<long long>(p.ranks_per_proc)),
-              FmtF(p.m.seconds * 1e3, 2),
-              FmtI(static_cast<long long>(OpsPerSec(p.m))),
-              FmtI(static_cast<long long>(p.m.messages)),
-              FmtF(UsPerMsg(p.m), 2),
-              FmtI(static_cast<long long>(p.m.socket_writes)),
-              FmtI(static_cast<long long>(p.m.wire_frames)),
+              FmtF(p.res.report.seconds * 1e3, 2),
+              FmtI(static_cast<long long>(OpsPerSec(p.res))),
+              FmtI(static_cast<long long>(p.res.report.messages)),
+              FmtF(UsPerMsg(p.res), 2),
+              FmtI(static_cast<long long>(p.res.report.socket_writes)),
+              FmtI(static_cast<long long>(p.res.report.wire_frames)),
               p.checksum_ok ? "ok" : "MISMATCH"});
   }
   std::printf("\n");
@@ -416,18 +271,12 @@ int RunScalingSweep(const Flags& flags, bool smoke) {
       j.Key("ranks_per_proc").Uint(p.ranks_per_proc);
       j.Key("ok").Bool(p.ok);
       j.Key("checksum_ok").Bool(p.checksum_ok);
-      j.Key("wall_seconds").Double(p.m.seconds);
-      j.Key("ops").Uint(p.m.ops);
-      j.Key("ops_per_sec").Double(OpsPerSec(p.m));
-      j.Key("messages").Uint(p.m.messages);
-      j.Key("us_per_msg").Double(UsPerMsg(p.m));
-      j.Key("socket_writes").Uint(p.m.socket_writes);
-      j.Key("wire_frames").Uint(p.m.wire_frames);
-      j.Key("wire_frames_coalesced").Uint(p.m.wire_frames_coalesced);
-      j.Key("wire_delta_hits").Uint(p.m.wire_delta_hits);
-      j.Key("wire_delta_misses").Uint(p.m.wire_delta_misses);
-      j.Key("wire_delta_bytes_saved").Uint(p.m.wire_delta_bytes_saved);
-      j.Key("shm_msgs").Uint(p.m.shm_msgs);
+      j.Key("wall_seconds").Double(p.res.report.seconds);
+      j.Key("ops").Uint(p.res.ops_executed);
+      j.Key("ops_per_sec").Double(OpsPerSec(p.res));
+      j.Key("messages").Uint(p.res.report.messages);
+      j.Key("us_per_msg").Double(UsPerMsg(p.res));
+      stats::WriteRecorderJson(j, p.res.report.totals);
       j.EndObject();
     }
     j.EndArray();
@@ -510,9 +359,8 @@ int main(int argc, char** argv) {
     const workload::ScenarioResult thr =
         workload::RunScenario(thr_opts, scenario);
 
-    Row threads_row{pattern, "threads_inject",
-                    FromReport(thr.report, thr.checksum, thr.ops_executed),
-                    true, thr.checksum == sim.checksum};
+    Row threads_row{pattern, "threads_inject", thr, true,
+                    thr.checksum == sim.checksum};
     all_ok = all_ok && threads_row.checksum_ok;
     rows.push_back(threads_row);
 
@@ -524,15 +372,13 @@ int main(int argc, char** argv) {
       r.ok = RunOnMesh(
           params.nodes, /*ranks_per_proc=*/1, io_threads, wire, trace_path,
           [&](gos::VmOptions vm) {
-            const workload::ScenarioResult res =
-                workload::RunScenario(vm, scenario);
-            return FromReport(res.report, res.checksum, res.ops_executed);
+            return workload::RunScenario(vm, scenario);
           },
-          &r.m);
+          &r.res);
       if (r.ok && !trace_path.empty())
         std::printf("trace (%s/%s) -> %s\n", r.workload.c_str(),
                     r.config.c_str(), trace_path.c_str());
-      r.checksum_ok = r.ok && r.m.checksum == sim.checksum;
+      r.checksum_ok = r.ok && r.res.checksum == sim.checksum;
       all_ok = all_ok && r.ok && r.checksum_ok;
       rows.push_back(r);
     }
@@ -545,7 +391,7 @@ int main(int argc, char** argv) {
     const auto sim_res = apps::RunAsp(sim_opts, cfg);
     const auto thr_res = apps::RunAsp(thr_opts, cfg);
     Row threads_row{"asp", "threads_inject",
-                    FromReport(thr_res.report, thr_res.checksum, 0), true,
+                    {thr_res.report, 0, thr_res.checksum}, true,
                     thr_res.checksum == sim_res.checksum};
     all_ok = all_ok && threads_row.checksum_ok;
     rows.push_back(threads_row);
@@ -558,13 +404,13 @@ int main(int argc, char** argv) {
           params.nodes, /*ranks_per_proc=*/1, io_threads, wire, trace_path,
           [&](gos::VmOptions vm) {
             const auto res = apps::RunAsp(vm, cfg);
-            return FromReport(res.report, res.checksum, 0);
+            return workload::ScenarioResult{res.report, 0, res.checksum};
           },
-          &r.m);
+          &r.res);
       if (r.ok && !trace_path.empty())
         std::printf("trace (%s/%s) -> %s\n", r.workload.c_str(),
                     r.config.c_str(), trace_path.c_str());
-      r.checksum_ok = r.ok && r.m.checksum == sim_res.checksum;
+      r.checksum_ok = r.ok && r.res.checksum == sim_res.checksum;
       all_ok = all_ok && r.ok && r.checksum_ok;
       rows.push_back(r);
     }
@@ -576,7 +422,7 @@ int main(int argc, char** argv) {
   // decision-observability plane (ledger gather + audit JSON, poll-driven
   // per-rank sampling, phase-marker adaptation latency); the paired
   // --audit=0 run is the throughput-overhead control (compare us/msg).
-  MeshMetrics churn_audit;
+  gos::RunReport churn_audit;
   bool churn_audit_ok = false;
   const std::string audit_path = bench::JsonPath("mesh_audit");
   {
@@ -607,18 +453,19 @@ int main(int argc, char** argv) {
             const workload::ScenarioResult res =
                 workload::RunScenario(vm, scenario);
             if (audit && vm.sockets.rank == 0 && !audit_path.empty())
-              stats::WriteAuditFile(audit_path, res.report.ledger);
-            return FromReport(res.report, res.checksum, res.ops_executed);
+              stats::WriteAuditFile(audit_path, res.report.totals.Ledger());
+            return res;
           },
-          &r.m);
-      r.checksum_ok = r.ok && r.m.checksum == sim.checksum;
+          &r.res);
+      r.checksum_ok = r.ok && r.res.checksum == sim.checksum;
       all_ok = all_ok && r.ok && r.checksum_ok;
       if (audit) {
-        churn_audit = r.m;
+        churn_audit = r.res.report;
         // Every policy consultation must be in the ledger: accepted ones
         // bumped kMigrations, declined ones kMigRejections.
-        churn_audit_ok =
-            r.ok && r.m.decisions == r.m.migrations + r.m.mig_rejections;
+        churn_audit_ok = r.ok && Decisions(churn_audit) ==
+                                     churn_audit.migrations +
+                                         churn_audit.mig_rejections;
         all_ok = all_ok && churn_audit_ok;
       }
       rows.push_back(r);
@@ -627,7 +474,7 @@ int main(int argc, char** argv) {
         "phase churn (audit): decisions=%llu migrations=%llu rejections=%llu "
         "[%s]  adaptation count=%llu p50=%llu p95=%llu p99=%llu ns  "
         "series samples=%zu\n",
-        static_cast<unsigned long long>(churn_audit.decisions),
+        static_cast<unsigned long long>(Decisions(churn_audit)),
         static_cast<unsigned long long>(churn_audit.migrations),
         static_cast<unsigned long long>(churn_audit.mig_rejections),
         churn_audit_ok ? "accounted" : "MISMATCH",
@@ -635,7 +482,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(churn_audit.adaptation.p50),
         static_cast<unsigned long long>(churn_audit.adaptation.p95),
         static_cast<unsigned long long>(churn_audit.adaptation.p99),
-        churn_audit.series.samples().size());
+        churn_audit.totals.Series().samples().size());
     if (!audit_path.empty())
       std::printf("audit ledger -> %s\n", audit_path.c_str());
   }
@@ -644,38 +491,40 @@ int main(int argc, char** argv) {
   Table t({"workload", "config", "wall ms", "ops/sec", "msgs", "us/msg",
            "writes", "frames", "deltas", "saved", "shm", "data"});
   CsvWriter csv(bench::CsvPath("mesh"));
-  csv.Row({"workload", "config", "wall_seconds", "ops_per_sec", "messages",
-           "us_per_msg", "socket_writes", "wire_frames",
-           "wire_frames_coalesced", "wire_delta_hits",
-           "wire_delta_bytes_saved", "shm_msgs", "checksum_ok"});
+  std::vector<std::string> header = {"workload",    "config",
+                                     "wall_seconds", "ops_per_sec",
+                                     "messages",    "us_per_msg"};
+  bench::AppendEvNames(header);
+  header.push_back("checksum_ok");
+  csv.Row(header);
   for (const Row& r : rows) {
+    std::vector<std::string> cells = {r.workload, r.config};
     if (!r.ok) {
       t.AddRow({r.workload, r.config, "-", "-", "-", "-", "-", "-", "-", "-",
                 "-", "FAILED"});
-      csv.Row({r.workload, r.config, "", "", "", "", "", "", "", "", "", "",
-               "0"});
+      cells.resize(header.size() - 1);
+      cells.push_back("0");
+      csv.Row(cells);
       continue;
     }
-    t.AddRow({r.workload, r.config, FmtF(r.m.seconds * 1e3, 2),
-              FmtI(static_cast<long long>(OpsPerSec(r.m))),
-              FmtI(static_cast<long long>(r.m.messages)),
-              FmtF(UsPerMsg(r.m), 2),
-              FmtI(static_cast<long long>(r.m.socket_writes)),
-              FmtI(static_cast<long long>(r.m.wire_frames)),
-              FmtI(static_cast<long long>(r.m.wire_delta_hits)),
-              FmtBytes(static_cast<double>(r.m.wire_delta_bytes_saved)),
-              FmtI(static_cast<long long>(r.m.shm_msgs)),
+    const gos::RunReport& rep = r.res.report;
+    t.AddRow({r.workload, r.config, FmtF(rep.seconds * 1e3, 2),
+              FmtI(static_cast<long long>(OpsPerSec(r.res))),
+              FmtI(static_cast<long long>(rep.messages)),
+              FmtF(UsPerMsg(r.res), 2),
+              FmtI(static_cast<long long>(rep.socket_writes)),
+              FmtI(static_cast<long long>(rep.wire_frames)),
+              FmtI(static_cast<long long>(rep.wire_delta_hits)),
+              FmtBytes(static_cast<double>(rep.wire_delta_bytes_saved)),
+              FmtI(static_cast<long long>(rep.shm_msgs)),
               r.checksum_ok ? "ok" : "MISMATCH"});
-    csv.Row({r.workload, r.config, std::to_string(r.m.seconds),
-             std::to_string(OpsPerSec(r.m)), std::to_string(r.m.messages),
-             std::to_string(UsPerMsg(r.m)),
-             std::to_string(r.m.socket_writes),
-             std::to_string(r.m.wire_frames),
-             std::to_string(r.m.wire_frames_coalesced),
-             std::to_string(r.m.wire_delta_hits),
-             std::to_string(r.m.wire_delta_bytes_saved),
-             std::to_string(r.m.shm_msgs),
-             r.checksum_ok ? "1" : "0"});
+    cells.insert(cells.end(),
+                 {std::to_string(rep.seconds), std::to_string(OpsPerSec(r.res)),
+                  std::to_string(rep.messages),
+                  std::to_string(UsPerMsg(r.res))});
+    bench::AppendEvCounts(cells, rep.totals);
+    cells.push_back(r.checksum_ok ? "1" : "0");
+    csv.Row(cells);
   }
   t.Print(std::cout);
   std::printf(
@@ -712,52 +561,21 @@ int main(int argc, char** argv) {
       j.Key("config").String(r.config);
       j.Key("ok").Bool(r.ok);
       j.Key("checksum_ok").Bool(r.checksum_ok);
-      j.Key("wall_seconds").Double(r.m.seconds);
-      j.Key("ops").Uint(r.m.ops);
-      j.Key("ops_per_sec").Double(OpsPerSec(r.m));
-      j.Key("messages").Uint(r.m.messages);
-      j.Key("us_per_msg").Double(UsPerMsg(r.m));
-      j.Key("socket_writes").Uint(r.m.socket_writes);
-      j.Key("wire_frames").Uint(r.m.wire_frames);
-      j.Key("wire_frames_coalesced").Uint(r.m.wire_frames_coalesced);
-      j.Key("wire_delta_hits").Uint(r.m.wire_delta_hits);
-      j.Key("wire_delta_misses").Uint(r.m.wire_delta_misses);
-      j.Key("wire_delta_bytes_saved").Uint(r.m.wire_delta_bytes_saved);
-      j.Key("shm_msgs").Uint(r.m.shm_msgs);
-      j.Key("mailbox_overflow_allocs").Uint(r.m.mailbox_overflow_allocs);
-      j.Key("rx_buffer_allocs").Uint(r.m.rx_buffer_allocs);
-      j.Key("migrations").Uint(r.m.migrations);
-      j.Key("mig_rejections").Uint(r.m.mig_rejections);
-      j.Key("decisions").Uint(r.m.decisions);
-      // Cluster-wide latency quantiles (nanoseconds). Only populated
-      // histograms appear; threads rows lack socket_write, sim-free rows
-      // lack nothing DSM-side.
-      j.Key("latency").BeginObject();
-      const auto hist = [&j](const std::string& name,
-                             const gos::HistSummary& h) {
-        if (h.count == 0) return;
-        j.Key(name).BeginObject();
-        j.Key("count").Uint(h.count);
-        j.Key("mean_ns").Double(h.mean);
-        j.Key("p50_ns").Uint(h.p50);
-        j.Key("p95_ns").Uint(h.p95);
-        j.Key("p99_ns").Uint(h.p99);
-        j.Key("max_ns").Uint(h.max);
-        j.EndObject();
-      };
-      for (std::size_t i = 0; i < stats::kNumMsgCats; ++i)
-        hist("rtt_" + std::string(stats::MsgCatName(
-                          static_cast<stats::MsgCat>(i))),
-             r.m.rtt[i]);
-      hist("mailbox_dwell", r.m.mailbox_dwell);
-      hist("socket_write", r.m.socket_write_ns);
-      hist("adaptation", r.m.adaptation);
-      j.EndObject();
+      j.Key("wall_seconds").Double(r.res.report.seconds);
+      j.Key("ops").Uint(r.res.ops_executed);
+      j.Key("ops_per_sec").Double(OpsPerSec(r.res));
+      j.Key("messages").Uint(r.res.report.messages);
+      j.Key("us_per_msg").Double(UsPerMsg(r.res));
+      j.Key("decisions").Uint(Decisions(r.res.report));
+      // Every registry counter plus the cluster-wide latency quantiles
+      // (only populated histograms appear; threads rows lack socket_write).
+      stats::WriteRecorderJson(j, r.res.report.totals);
       // Cluster-merged windowed counter deltas (one sample per rank per
       // poll window; empty unless the run sampled).
-      if (!r.m.series.samples().empty()) {
+      const stats::Timeseries& series = r.res.report.totals.Series();
+      if (!series.samples().empty()) {
         j.Key("series");
-        stats::WriteTimeseriesJson(j, r.m.series);
+        stats::WriteTimeseriesJson(j, series);
       }
       j.EndObject();
     }

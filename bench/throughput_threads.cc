@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/stats/json.h"
 #include "src/util/csv.h"
 #include "src/util/flags.h"
 #include "src/util/json.h"
@@ -80,23 +81,23 @@ int main(int argc, char** argv) {
   Table t({"pattern", "ops", "wall ms", "ops/sec", "msgs", "migrations",
            "hol", "data"});
   CsvWriter csv(hmdsm::bench::CsvPath("throughput_threads"));
-  csv.Row({"pattern", "ops", "wall_seconds", "ops_per_sec", "messages",
-           "migrations", "hol_inherited", "checksum_matches_sim"});
+  std::vector<std::string> header = {"pattern", "ops", "wall_seconds",
+                                     "ops_per_sec", "messages"};
+  hmdsm::bench::AppendEvNames(header);
+  header.push_back("checksum_matches_sim");
+  csv.Row(header);
 
   struct Row {
     std::string pattern;
-    std::uint64_t ops = 0;
-    double seconds = 0;
-    double ops_per_sec = 0;
-    std::uint64_t messages = 0;
-    std::uint64_t migrations = 0;
-    std::uint64_t hol_inherited = 0;
+    workload::ScenarioResult thr;
     bool match = false;
-    gos::HistSummary rtt[hmdsm::stats::kNumMsgCats];
-    gos::HistSummary mailbox_dwell;
-    gos::HistSummary migration_first_access;
   };
   std::vector<Row> rows;
+  const auto ops_per_sec = [](const workload::ScenarioResult& r) {
+    return r.report.seconds > 0
+               ? static_cast<double>(r.ops_executed) / r.report.seconds
+               : 0.0;
+  };
 
   for (const std::string& pattern : workload::PatternNames()) {
     params.pattern = pattern;
@@ -105,36 +106,25 @@ int main(int argc, char** argv) {
 
     const workload::ScenarioResult sim =
         workload::RunScenario(sim_opts, scenario);
-    const workload::ScenarioResult thr =
-        workload::RunScenario(thr_opts, scenario);
-
-    Row row;
-    row.pattern = pattern;
-    row.ops = thr.ops_executed;
-    row.seconds = thr.report.seconds;
-    row.ops_per_sec = row.seconds > 0
-                          ? static_cast<double>(row.ops) / row.seconds
-                          : 0.0;
-    row.messages = thr.report.messages;
-    row.migrations = thr.report.migrations;
-    row.hol_inherited = thr.report.hol_inherited;
-    row.match = sim.checksum == thr.checksum;
-    for (std::size_t i = 0; i < hmdsm::stats::kNumMsgCats; ++i)
-      row.rtt[i] = thr.report.rtt[i];
-    row.mailbox_dwell = thr.report.mailbox_dwell;
-    row.migration_first_access = thr.report.migration_first_access;
-    t.AddRow({row.pattern, FmtI(static_cast<long long>(row.ops)),
-              FmtF(row.seconds * 1e3, 2),
-              FmtI(static_cast<long long>(row.ops_per_sec)),
-              FmtI(static_cast<long long>(row.messages)),
-              FmtI(static_cast<long long>(row.migrations)),
-              FmtI(static_cast<long long>(row.hol_inherited)),
+    Row row{pattern, workload::RunScenario(thr_opts, scenario)};
+    row.match = sim.checksum == row.thr.checksum;
+    const gos::RunReport& rep = row.thr.report;
+    t.AddRow({row.pattern, FmtI(static_cast<long long>(row.thr.ops_executed)),
+              FmtF(rep.seconds * 1e3, 2),
+              FmtI(static_cast<long long>(ops_per_sec(row.thr))),
+              FmtI(static_cast<long long>(rep.messages)),
+              FmtI(static_cast<long long>(rep.migrations)),
+              FmtI(static_cast<long long>(
+                  rep.totals.Count(hmdsm::stats::Ev::kHolInherited))),
               row.match ? "ok" : "MISMATCH"});
-    csv.Row({row.pattern, std::to_string(row.ops),
-             std::to_string(row.seconds), std::to_string(row.ops_per_sec),
-             std::to_string(row.messages), std::to_string(row.migrations),
-             std::to_string(row.hol_inherited), row.match ? "1" : "0"});
-    rows.push_back(row);
+    std::vector<std::string> cells = {
+        row.pattern, std::to_string(row.thr.ops_executed),
+        std::to_string(rep.seconds), std::to_string(ops_per_sec(row.thr)),
+        std::to_string(rep.messages)};
+    hmdsm::bench::AppendEvCounts(cells, rep.totals);
+    cells.push_back(row.match ? "1" : "0");
+    csv.Row(cells);
+    rows.push_back(std::move(row));
   }
 
   t.Print(std::cout);
@@ -157,35 +147,14 @@ int main(int argc, char** argv) {
     for (const Row& r : rows) {
       j.BeginObject();
       j.Key("pattern").String(r.pattern);
-      j.Key("ops").Uint(r.ops);
-      j.Key("wall_seconds").Double(r.seconds);
-      j.Key("ops_per_sec").Double(r.ops_per_sec);
-      j.Key("messages").Uint(r.messages);
-      j.Key("migrations").Uint(r.migrations);
-      j.Key("hol_inherited").Uint(r.hol_inherited);
+      j.Key("ops").Uint(r.thr.ops_executed);
+      j.Key("wall_seconds").Double(r.thr.report.seconds);
+      j.Key("ops_per_sec").Double(ops_per_sec(r.thr));
+      j.Key("messages").Uint(r.thr.report.messages);
       j.Key("checksum_matches_sim").Bool(r.match);
-      // Wall-clock latency quantiles (nanoseconds) from the per-node
-      // histograms; empty histograms are omitted.
-      j.Key("latency").BeginObject();
-      const auto hist = [&j](const std::string& name,
-                             const gos::HistSummary& h) {
-        if (h.count == 0) return;
-        j.Key(name).BeginObject();
-        j.Key("count").Uint(h.count);
-        j.Key("mean_ns").Double(h.mean);
-        j.Key("p50_ns").Uint(h.p50);
-        j.Key("p95_ns").Uint(h.p95);
-        j.Key("p99_ns").Uint(h.p99);
-        j.Key("max_ns").Uint(h.max);
-        j.EndObject();
-      };
-      for (std::size_t i = 0; i < hmdsm::stats::kNumMsgCats; ++i)
-        hist("rtt_" + std::string(hmdsm::stats::MsgCatName(
-                          static_cast<hmdsm::stats::MsgCat>(i))),
-             r.rtt[i]);
-      hist("mailbox_dwell", r.mailbox_dwell);
-      hist("migration_first_access", r.migration_first_access);
-      j.EndObject();
+      // Every registry counter plus the wall-clock latency quantiles from
+      // the per-node histograms (empty histograms are omitted).
+      hmdsm::stats::WriteRecorderJson(j, r.thr.report.totals);
       j.EndObject();
     }
     j.EndArray();

@@ -43,7 +43,7 @@ HistSummary Summarize(const stats::Histogram& h) {
   return s;
 }
 
-RunReport MakeRunReport(const stats::Recorder& rec, double seconds) {
+RunReport MakeRunReport(stats::Recorder rec, double seconds) {
   RunReport report;
   report.seconds = seconds;
   report.messages = rec.TotalMessages(true);
@@ -81,9 +81,18 @@ RunReport MakeRunReport(const stats::Recorder& rec, double seconds) {
   report.migration_first_access =
       Summarize(rec.Latency(stats::Lat::kMigFirstAccess));
   report.adaptation = Summarize(rec.Latency(stats::Lat::kAdaptation));
-  report.ledger = rec.Ledger();
-  report.series = rec.Series();
+  report.totals = std::move(rec);
   return report;
+}
+
+void EncodeReport(Writer& w, const RunReport& report) {
+  w.f64(report.seconds);
+  report.totals.Encode(w);
+}
+
+RunReport DecodeReport(Reader& r) {
+  const double seconds = r.f64();
+  return MakeRunReport(stats::Recorder::Decode(r), seconds);
 }
 
 Vm::Vm(VmOptions options) : options_(options) {

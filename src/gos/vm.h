@@ -270,9 +270,14 @@ struct HistSummary {
 
 HistSummary Summarize(const stats::Histogram& h);
 
-/// Snapshot of run metrics since the last ResetMeasurement().
+/// Snapshot of run metrics since the last ResetMeasurement(). `totals` is
+/// the cluster-merged recorder the report was built from: every stats::Ev
+/// counter, histogram, the decision ledger and the time series. The named
+/// scalars and summaries below are derived from it by MakeRunReport for
+/// callers that read a metric by name.
 struct RunReport {
   double seconds = 0;  // virtual time (sim) or wall time (threads)
+  stats::Recorder totals;
   std::uint64_t messages = 0;          // all categories
   std::uint64_t messages_nosync = 0;   // paper Fig. 5 convention
   std::uint64_t bytes = 0;
@@ -294,33 +299,21 @@ struct RunReport {
   std::uint64_t received_messages = 0;
   std::uint64_t sent_bytes = 0;
   std::uint64_t received_bytes = 0;
-  /// Wire-level counters (sockets backend): the transport folds its atomics
-  /// into every recorder snapshot, so these ride the coordinator's gather
-  /// and are **cluster totals** across all ranks (wire writes issued,
-  /// frames enqueued toward the wire, frames that rode inside a coalesced
-  /// Batch write). Zero on the other backends.
+  /// Wire-level counters (sockets backend; cluster totals across all
+  /// ranks, zero on the other backends). See stats::Ev for each meaning.
   std::uint64_t socket_writes = 0;
-  std::uint64_t wire_frames = 0;
+  std::uint64_t wire_frames = 0;  // Ev::kWireFramesEnqueued
   std::uint64_t wire_frames_coalesced = 0;
-  /// Wire hot-path counters (sockets backend, cluster totals like the
-  /// above): data frames sent as deltas vs full, bytes the deltas saved
-  /// (frame overheads included), data frames that rode a same-host shm
-  /// ring instead of TCP.
   std::uint64_t wire_delta_hits = 0;
   std::uint64_t wire_delta_misses = 0;
   std::uint64_t wire_delta_bytes_saved = 0;
   std::uint64_t shm_msgs = 0;
-  /// Allocation-pooling watermarks (cluster totals): mailbox overflow
-  /// nodes allocated past the pool (steady state: stays flat) and rx
-  /// frame buffers allocated past the pool.
   std::uint64_t mailbox_overflow_allocs = 0;
   std::uint64_t rx_buffer_allocs = 0;
-  /// Threads backend, latency injection only: deliveries that overshot
-  /// their own deadline behind a head-of-line sleep (runtime/channel.h).
-  std::uint64_t hol_inherited = 0;
-  /// Latency histograms (empty when VmOptions::histograms is off). RTT is
-  /// the fault-in request→reply round trip bucketed by the reply category
-  /// (kObj plain, kMig home-migrating; redirect hops included in the trip).
+  /// Latency histogram summaries (empty when VmOptions::histograms is
+  /// off). RTT is the fault-in request→reply round trip bucketed by the
+  /// reply category (kObj plain, kMig home-migrating; redirect hops
+  /// included in the trip).
   HistSummary rtt[stats::kNumMsgCats] = {};
   HistSummary mailbox_dwell;
   HistSummary socket_write_ns;
@@ -328,12 +321,6 @@ struct RunReport {
   /// Workload phase marker → first home migration installed on the marking
   /// node (ROADMAP's "how fast does the protocol re-home" metric).
   HistSummary adaptation;
-  /// Decision audit trail and windowed counter deltas (cluster-merged on
-  /// the reporting rank; empty when DsmConfig::audit is off / no sampler
-  /// ran). Carried whole — not summarized — so callers can dump, export,
-  /// or re-aggregate them.
-  stats::DecisionLedger ledger;
-  stats::Timeseries series;
   /// Mesh health at report time (sockets backend, lead rank only): one
   /// entry per remote process. Plain strings/numbers so gos stays
   /// decoupled from netio's liveness types.
@@ -350,9 +337,15 @@ struct RunReport {
   std::vector<PeerReport> peer_health;
 };
 
-/// Builds a RunReport from merged per-node statistics. Shared between the
-/// sim backend and the threads backend.
-RunReport MakeRunReport(const stats::Recorder& totals, double seconds);
+/// Builds a RunReport from merged per-node statistics; the only code that
+/// fills its named fields. Shared by every backend.
+RunReport MakeRunReport(stats::Recorder totals, double seconds);
+
+/// Wire form of a report: `seconds` plus `totals`. DecodeReport rebuilds
+/// the named fields through MakeRunReport (peer_health stays with the
+/// rank that gathered it) and throws CheckError on a malformed blob.
+void EncodeReport(Writer& w, const RunReport& report);
+RunReport DecodeReport(Reader& r);
 
 /// Internal: one execution backend behind the Vm facade. Everything the
 /// facade forwards is defined here; each backend lives in its own TU

@@ -164,9 +164,7 @@ class ThreadsBackend final : public VmBackend {
   void ResetMeasurement() override { rt_.ResetMeasurement(); }
   double ElapsedSeconds() const override { return rt_.ElapsedSeconds(); }
   RunReport Report() override {
-    RunReport r = MakeRunReport(rt_.Totals(), rt_.ElapsedSeconds());
-    r.hol_inherited = rt_.transport().hol_inherited();
-    return r;
+    return MakeRunReport(rt_.Totals(), rt_.ElapsedSeconds());
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -10,9 +11,13 @@
 #include "src/util/check.h"
 
 namespace hmdsm::netio {
+namespace {
 
-int RunLocalMesh(std::size_t nodes, std::size_t ranks_per_proc,
-                 const std::function<int(const LocalRank&)>& body) {
+/// Forks the mesh, runs `in_parent` (if any) once every child is forked,
+/// then reaps the children.
+int ForkMesh(std::size_t nodes, std::size_t ranks_per_proc,
+             const std::function<int(const LocalRank&)>& body,
+             const std::function<void()>& in_parent) {
   HMDSM_CHECK_MSG(nodes >= 1 && nodes <= 0x10000,
                   "node count out of range");
   HMDSM_CHECK_MSG(ranks_per_proc >= 1 && ranks_per_proc <= nodes,
@@ -78,6 +83,7 @@ int RunLocalMesh(std::size_t nodes, std::size_t ranks_per_proc,
     children.push_back(pid);
   }
   for (Fd& fd : listeners) fd.Close();
+  if (in_parent) in_parent();
 
   int overall = 0;
   for (std::size_t p = 0; p < procs; ++p) {
@@ -97,6 +103,54 @@ int RunLocalMesh(std::size_t nodes, std::size_t ranks_per_proc,
     if (overall == 0) overall = proc_status;
   }
   return overall;
+}
+
+bool WriteAll(int fd, const Bytes& data) {
+  std::size_t off = 0;
+  while (off < data.size()) {
+    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+}  // namespace
+
+int RunLocalMesh(std::size_t nodes, std::size_t ranks_per_proc,
+                 const std::function<int(const LocalRank&)>& body) {
+  return ForkMesh(nodes, ranks_per_proc, body, {});
+}
+
+int RunLocalMeshForLead(std::size_t nodes, std::size_t ranks_per_proc,
+                        const std::function<Bytes(const LocalRank&)>& body,
+                        Bytes* lead) {
+  int fds[2];
+  HMDSM_CHECK_MSG(::pipe(fds) == 0, "launcher pipe failed");
+  Fd read_end(fds[0]);
+  Fd write_end(fds[1]);
+  lead->clear();
+  return ForkMesh(
+      nodes, ranks_per_proc,
+      [&](const LocalRank& self) {
+        read_end.Close();
+        const Bytes out = body(self);
+        const bool ok = self.rank != 0 || WriteAll(write_end.get(), out);
+        write_end.Close();
+        return ok ? 0 : 3;
+      },
+      [&] {
+        // Only the children hold the write end now: EOF means every one
+        // of them has exited or closed it.
+        write_end.Close();
+        Byte buf[4096];
+        ssize_t n;
+        while ((n = ::read(read_end.get(), buf, sizeof buf)) > 0 ||
+               (n < 0 && errno == EINTR)) {
+          if (n > 0) lead->insert(lead->end(), buf, buf + n);
+        }
+      });
 }
 
 int RunLocalMesh(std::size_t nodes,

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/net/transport.h"
+#include "src/util/bytes.h"
 
 namespace hmdsm::netio {
 
@@ -40,6 +41,15 @@ struct LocalRank {
 /// child reports 128+signo). Must be called while single-threaded.
 int RunLocalMesh(std::size_t nodes, std::size_t ranks_per_proc,
                  const std::function<int(const LocalRank&)>& body);
+
+/// RunLocalMesh plus a pipe back to the parent: `body` runs in every
+/// process, and the bytes it returns in the process hosting rank 0 (the
+/// lead) land in `*lead`. The parent drains the pipe while the children
+/// run, so the payload may be any size. Returns the overall exit status
+/// as RunLocalMesh does; a failed pipe write makes the lead exit 3.
+int RunLocalMeshForLead(std::size_t nodes, std::size_t ranks_per_proc,
+                        const std::function<Bytes(const LocalRank&)>& body,
+                        Bytes* lead);
 
 /// One rank per process (the pre-multi-rank-hosting shape).
 int RunLocalMesh(std::size_t nodes,

@@ -86,8 +86,6 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
   mailboxes_.resize(local_count);
   handlers_.resize(local_count);
   peers_.resize(group_count_);
-  mailbox_overflow_base_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(local_count);
   for (stats::Recorder& r : recorders_) r.SetNodeCount(n);
 }
 
@@ -938,10 +936,11 @@ void SocketTransport::FlushPeer(IoThread& t, std::size_t group) {
       }
     }
     if (peer.out_seg == peer.out_segs.size()) {
-      socket_writes_.fetch_add(1, std::memory_order_acq_rel);
+      Counter(stats::Ev::kSocketWrites)
+          .fetch_add(1, std::memory_order_acq_rel);
       if (peer.out_batched) {
-        frames_coalesced_.fetch_add(peer.out_frames,
-                                    std::memory_order_acq_rel);
+        Counter(stats::Ev::kWireFramesCoalesced)
+            .fetch_add(peer.out_frames, std::memory_order_acq_rel);
       }
       peer.out_active = false;
       peer.out_segs.clear();
@@ -986,7 +985,8 @@ void SocketTransport::EnqueueFrame(net::NodeId dst, Bytes frame) {
     peer.queue_bytes += frame.size();
     peer.queue.push_back(std::move(frame));
   }
-  frames_enqueued_.fetch_add(1, std::memory_order_acq_rel);
+  Counter(stats::Ev::kWireFramesEnqueued)
+      .fetch_add(1, std::memory_order_acq_rel);
   KickPeer(g);
 }
 
@@ -1008,7 +1008,8 @@ bool SocketTransport::TryEnqueueFrame(net::NodeId dst, Bytes frame) {
     peer.queue_bytes += frame.size();
     peer.queue.push_back(std::move(frame));
   }
-  frames_enqueued_.fetch_add(1, std::memory_order_acq_rel);
+  Counter(stats::Ev::kWireFramesEnqueued)
+      .fetch_add(1, std::memory_order_acq_rel);
   KickPeer(g);
   return true;
 }
@@ -1042,8 +1043,9 @@ Bytes SocketTransport::EncodeDataLocked(Peer& peer, DataFrame data) {
     if (diff.size() + kDeltaFrameOverhead <
         data.payload.size() + kDataFrameOverhead) {
       const std::uint64_t base_seq = prev->seq;
-      delta_hits_.fetch_add(1, std::memory_order_relaxed);
-      delta_bytes_saved_.fetch_add(
+      Counter(stats::Ev::kWireDeltaHits)
+          .fetch_add(1, std::memory_order_relaxed);
+      Counter(stats::Ev::kWireDeltaBytesSaved).fetch_add(
           (data.payload.size() + kDataFrameOverhead) -
               (diff.size() + kDeltaFrameOverhead),
           std::memory_order_relaxed);
@@ -1052,7 +1054,8 @@ Bytes SocketTransport::EncodeDataLocked(Peer& peer, DataFrame data) {
                                Buf(std::move(diff))});
     }
   }
-  delta_misses_.fetch_add(1, std::memory_order_relaxed);
+  Counter(stats::Ev::kWireDeltaMisses)
+      .fetch_add(1, std::memory_order_relaxed);
   peer.tx_cache.Store(key, data.payload);
   return Encode(std::move(data));
 }
@@ -1087,10 +1090,11 @@ void SocketTransport::SendData(net::NodeId dst, DataFrame data) {
   }
   if (via_shm) {
     peer.shm_msgs_sent.fetch_add(1, std::memory_order_acq_rel);
-    shm_msgs_.fetch_add(1, std::memory_order_relaxed);
+    Counter(stats::Ev::kShmMsgs).fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  frames_enqueued_.fetch_add(1, std::memory_order_acq_rel);
+  Counter(stats::Ev::kWireFramesEnqueued)
+      .fetch_add(1, std::memory_order_acq_rel);
   KickPeer(g);
 }
 
@@ -1159,30 +1163,27 @@ void SocketTransport::Dispatch(net::Packet&& packet) {
   dispatched_.fetch_add(1, std::memory_order_acq_rel);
 }
 
+std::uint64_t SocketTransport::CounterValue(stats::Ev ev) const {
+  switch (ev) {
+    case stats::Ev::kRxBufferAllocs:
+      return rx_pool_.buffer_allocs();
+    case stats::Ev::kMailboxOverflowAllocs: {
+      std::uint64_t allocs = 0;
+      for (const runtime::Channel& box : mailboxes_)
+        allocs += box.overflow_allocs();
+      return allocs;
+    }
+    default:
+      return evs_[static_cast<std::size_t>(ev)].load(
+          std::memory_order_acquire);
+  }
+}
+
 void SocketTransport::ResetStats() {
   MailboxTransport::ResetStats();
-  socket_writes_base_.store(socket_writes_.load(std::memory_order_acquire),
-                            std::memory_order_release);
-  frames_enqueued_base_.store(
-      frames_enqueued_.load(std::memory_order_acquire),
-      std::memory_order_release);
-  frames_coalesced_base_.store(
-      frames_coalesced_.load(std::memory_order_acquire),
-      std::memory_order_release);
-  delta_hits_base_.store(delta_hits_.load(std::memory_order_acquire),
-                         std::memory_order_release);
-  delta_misses_base_.store(delta_misses_.load(std::memory_order_acquire),
-                           std::memory_order_release);
-  delta_bytes_saved_base_.store(
-      delta_bytes_saved_.load(std::memory_order_acquire),
-      std::memory_order_release);
-  shm_msgs_base_.store(shm_msgs_.load(std::memory_order_acquire),
+  for (std::size_t e = 0; e < stats::kNumEvs; ++e) {
+    evs_base_[e].store(CounterValue(static_cast<stats::Ev>(e)),
                        std::memory_order_release);
-  rx_buffer_allocs_base_.store(rx_pool_.buffer_allocs(),
-                               std::memory_order_release);
-  for (std::size_t i = 0; i < mailboxes_.size(); ++i) {
-    mailbox_overflow_base_[i].store(mailboxes_[i].overflow_allocs(),
-                                    std::memory_order_release);
   }
   std::lock_guard lock(write_lat_mu_);
   write_latency_.Reset();
@@ -1190,37 +1191,13 @@ void SocketTransport::ResetStats() {
 
 void SocketTransport::AugmentSnapshot(net::NodeId node,
                                       stats::Recorder& into) const {
-  if (is_local(node)) {
-    const std::size_t i = node - options_.rank;
-    into.Bump(stats::Ev::kMailboxOverflowAllocs,
-              mailboxes_[i].overflow_allocs() -
-                  mailbox_overflow_base_[i].load(std::memory_order_acquire));
+  // The counters are process-level: fold them once, into the primary.
+  if (node != options_.rank) return;
+  for (std::size_t e = 0; e < stats::kNumEvs; ++e) {
+    const auto ev = static_cast<stats::Ev>(e);
+    into.Bump(ev, CounterValue(ev) -
+                      evs_base_[e].load(std::memory_order_acquire));
   }
-  if (node != options_.rank) return;  // wire counters are process-level
-  into.Bump(stats::Ev::kSocketWrites,
-            socket_writes_.load(std::memory_order_acquire) -
-                socket_writes_base_.load(std::memory_order_acquire));
-  into.Bump(stats::Ev::kWireFramesEnqueued,
-            frames_enqueued_.load(std::memory_order_acquire) -
-                frames_enqueued_base_.load(std::memory_order_acquire));
-  into.Bump(stats::Ev::kWireFramesCoalesced,
-            frames_coalesced_.load(std::memory_order_acquire) -
-                frames_coalesced_base_.load(std::memory_order_acquire));
-  into.Bump(stats::Ev::kWireDeltaHits,
-            delta_hits_.load(std::memory_order_acquire) -
-                delta_hits_base_.load(std::memory_order_acquire));
-  into.Bump(stats::Ev::kWireDeltaMisses,
-            delta_misses_.load(std::memory_order_acquire) -
-                delta_misses_base_.load(std::memory_order_acquire));
-  into.Bump(stats::Ev::kWireDeltaBytesSaved,
-            delta_bytes_saved_.load(std::memory_order_acquire) -
-                delta_bytes_saved_base_.load(std::memory_order_acquire));
-  into.Bump(stats::Ev::kShmMsgs,
-            shm_msgs_.load(std::memory_order_acquire) -
-                shm_msgs_base_.load(std::memory_order_acquire));
-  into.Bump(stats::Ev::kRxBufferAllocs,
-            rx_pool_.buffer_allocs() -
-                rx_buffer_allocs_base_.load(std::memory_order_acquire));
   std::lock_guard lock(write_lat_mu_);
   into.MergeLatency(stats::Lat::kSocketWrite, write_latency_);
 }

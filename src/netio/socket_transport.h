@@ -83,6 +83,7 @@
 //     comes up, the link simply stays on TCP — never reorder, just decline.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -255,39 +256,6 @@ class SocketTransport final : public runtime::MailboxTransport {
     return wire_received_.load(std::memory_order_acquire);
   }
 
-  /// Wire-write accounting for this process (data + control frames):
-  /// successful socket writes issued, total frames enqueued toward the
-  /// wire, and how many of those frames rode inside a Batch.
-  /// frames_enqueued - frames_coalesced + (batches) == socket_writes; a
-  /// coalesced share > 0 is the syscall saving the batching exists for.
-  std::uint64_t socket_writes() const {
-    return socket_writes_.load(std::memory_order_acquire);
-  }
-  std::uint64_t frames_enqueued() const {
-    return frames_enqueued_.load(std::memory_order_acquire);
-  }
-  std::uint64_t frames_coalesced() const {
-    return frames_coalesced_.load(std::memory_order_acquire);
-  }
-
-  /// Hot-path accounting (process totals since transport start; the
-  /// measured-window versions travel through AugmentSnapshot).
-  /// delta_hits: data frames that left as kDelta; delta_misses: eligible
-  /// frames sent full (cache miss, size change, or diff not smaller);
-  /// delta_bytes_saved: wire bytes avoided by the hits; shm_msgs: data
-  /// frames that took a shared-memory ring instead of TCP.
-  std::uint64_t delta_hits() const {
-    return delta_hits_.load(std::memory_order_acquire);
-  }
-  std::uint64_t delta_misses() const {
-    return delta_misses_.load(std::memory_order_acquire);
-  }
-  std::uint64_t delta_bytes_saved() const {
-    return delta_bytes_saved_.load(std::memory_order_acquire);
-  }
-  std::uint64_t shm_msgs() const {
-    return shm_msgs_.load(std::memory_order_acquire);
-  }
   /// True when this process created a shm segment (at least one link may
   /// negotiate rings).
   bool shm_active() const { return shm_ != nullptr; }
@@ -339,11 +307,12 @@ class SocketTransport final : public runtime::MailboxTransport {
   /// themselves stay monotonic — quiescence probes need absolute values.
   void ResetStats() override;
 
-  /// Folds this process's wire-counter window and the reactor's write-
-  /// latency histogram into a recorder snapshot, so the coordinator's
-  /// gather carries them and cluster totals come out of Merge. Folded for
-  /// the primary rank only — the counters are process-level, and a
-  /// multi-rank Totals() must not double-count them.
+  /// Folds this process's counter window (wire, rx-buffer and mailbox-
+  /// overflow counters) and the reactor's write-latency histogram into a
+  /// recorder snapshot, so the coordinator's gather carries them and
+  /// cluster totals come out of Merge. Folded for the primary rank only —
+  /// the counters are process-level, and a multi-rank Totals() must not
+  /// double-count them.
   void AugmentSnapshot(net::NodeId node, stats::Recorder& into) const override;
 
   // ---- runtime::MailboxTransport ----
@@ -541,25 +510,19 @@ class SocketTransport final : public runtime::MailboxTransport {
   std::atomic<std::uint64_t> wire_received_{0};
   std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> dispatched_{0};
-  std::atomic<std::uint64_t> socket_writes_{0};
-  std::atomic<std::uint64_t> frames_enqueued_{0};
-  std::atomic<std::uint64_t> frames_coalesced_{0};
-  std::atomic<std::uint64_t> delta_hits_{0};
-  std::atomic<std::uint64_t> delta_misses_{0};
-  std::atomic<std::uint64_t> delta_bytes_saved_{0};
-  std::atomic<std::uint64_t> shm_msgs_{0};
-  // Measured-window baselines (ResetStats snapshots the atomics here).
-  std::atomic<std::uint64_t> socket_writes_base_{0};
-  std::atomic<std::uint64_t> frames_enqueued_base_{0};
-  std::atomic<std::uint64_t> frames_coalesced_base_{0};
-  std::atomic<std::uint64_t> delta_hits_base_{0};
-  std::atomic<std::uint64_t> delta_misses_base_{0};
-  std::atomic<std::uint64_t> delta_bytes_saved_base_{0};
-  std::atomic<std::uint64_t> shm_msgs_base_{0};
-  std::atomic<std::uint64_t> rx_buffer_allocs_base_{0};
-  // Per-local-rank baselines (atomics: live stats polling may snapshot
-  // concurrently with the quiescent-point reset).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> mailbox_overflow_base_;
+  // Process-level counters, indexed by stats::Ev: the wire Evs count
+  // here, while CounterValue reads kRxBufferAllocs from rx_pool_ and
+  // kMailboxOverflowAllocs from the local mailboxes. The baselines are
+  // ResetStats snapshots (atomics: live stats polling may snapshot
+  // concurrently with the quiescent-point reset). Wire-write accounting
+  // covers data + control frames:
+  // frames_enqueued - frames_coalesced + (batches) == socket_writes.
+  std::array<std::atomic<std::uint64_t>, stats::kNumEvs> evs_{};
+  std::array<std::atomic<std::uint64_t>, stats::kNumEvs> evs_base_{};
+  std::atomic<std::uint64_t>& Counter(stats::Ev ev) {
+    return evs_[static_cast<std::size_t>(ev)];
+  }
+  std::uint64_t CounterValue(stats::Ev ev) const;
   // Pooled receive buffers, shared by the reactor read path and the shm
   // reader (BufferPool is thread-safe; buffers recycle on payload release).
   BufferPool rx_pool_;

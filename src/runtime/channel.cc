@@ -30,6 +30,7 @@ void ChannelTransport::ResetStats() {
   MailboxTransport::ResetStats();
   for (std::size_t n = 0; n < channels_.size(); ++n)
     overflow_alloc_base_[n] = channels_[n].overflow_allocs();
+  hol_inherited_base_ = hol_inherited_.load(std::memory_order_acquire);
 }
 
 void ChannelTransport::AugmentSnapshot(NodeId node,
@@ -37,6 +38,11 @@ void ChannelTransport::AugmentSnapshot(NodeId node,
   if (node >= channels_.size()) return;
   into.Bump(stats::Ev::kMailboxOverflowAllocs,
             channels_[node].overflow_allocs() - overflow_alloc_base_[node]);
+  if (node == 0) {
+    into.Bump(stats::Ev::kHolInherited,
+              hol_inherited_.load(std::memory_order_acquire) -
+                  hol_inherited_base_);
+  }
 }
 
 void ChannelTransport::Send(NodeId src, NodeId dst, stats::MsgCat cat,

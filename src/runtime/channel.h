@@ -32,10 +32,11 @@
 // packet queued behind a large one inherits the larger deadline
 // (head-of-line blocking — a receive-side serialization the simulator
 // does not model; it bounds measured-vs-modeled fidelity for mixed-size
-// fan-in). hol_inherited() counts exactly those packets — deliveries whose
-// own deadline had already expired by the time the dispatcher reached them
-// — so measured-vs-modeled divergence is attributable to a number, not a
-// hunch. Statistics are untouched — injection shapes time, not traffic.
+// fan-in). stats::Ev::kHolInherited counts exactly those packets —
+// deliveries whose own deadline had already expired by the time the
+// dispatcher reached them — so measured-vs-modeled divergence is
+// attributable to a number, not a hunch. Traffic statistics are untouched
+// — injection shapes time, not traffic.
 #pragma once
 
 #include <atomic>
@@ -377,7 +378,7 @@ class ChannelTransport final : public MailboxTransport {
   /// injection is off or the deadline already passed — but an
   /// already-passed deadline means the packet waited behind an earlier
   /// (larger) packet's sleep and effectively inherited its delivery time,
-  /// so it is counted in hol_inherited(). Dispatchers call this after
+  /// so it is counted as Ev::kHolInherited. Dispatchers call this after
   /// popping and *before* taking the destination agent lock, so a sleeping
   /// delivery never blocks the node's guests.
   void AwaitDeliveryTime(const net::Packet& packet) const override {
@@ -388,15 +389,6 @@ class ChannelTransport final : public MailboxTransport {
     } else {
       hol_inherited_.fetch_add(1, std::memory_order_acq_rel);
     }
-  }
-
-  /// Latency injection only: packets delivered *after* their own injected
-  /// deadline because the dispatcher was busy sleeping out an earlier
-  /// packet's (head-of-line) deadline. The modeled network pipelines these
-  /// deliveries instead, so this counter bounds how far a measured run can
-  /// diverge from the model on mixed-size fan-in.
-  std::uint64_t hol_inherited() const {
-    return hol_inherited_.load(std::memory_order_acquire);
   }
 
   /// Wall-clock nanoseconds since transport construction.
@@ -448,12 +440,14 @@ class ChannelTransport final : public MailboxTransport {
     return packets_sent_.load(std::memory_order_acquire);
   }
 
-  /// Also snapshots per-mailbox overflow-alloc baselines, so the measured
-  /// window reports only steady-state allocations (which should be zero —
-  /// the whole point of the node pool).
+  /// Also snapshots the per-mailbox overflow-alloc and head-of-line
+  /// baselines, so the measured window reports only its own allocations
+  /// (steady state: zero — the whole point of the node pool) and only its
+  /// own inherited deadlines.
   void ResetStats() override;
 
-  /// Folds the mailbox overflow-alloc counter into `node`'s snapshot.
+  /// Folds the mailbox overflow-alloc counter into `node`'s snapshot, and
+  /// the transport-wide head-of-line counter into node 0's.
   void AugmentSnapshot(net::NodeId node, stats::Recorder& into) const override;
 
  private:
@@ -465,6 +459,7 @@ class ChannelTransport final : public MailboxTransport {
   std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> packets_sent_{0};
   mutable std::atomic<std::uint64_t> hol_inherited_{0};
+  std::uint64_t hol_inherited_base_ = 0;  // ResetStats snapshot
   std::chrono::steady_clock::time_point epoch_;
   net::HockneyModel inject_model_{70.0, 12.5};  // written before dispatch
   double inject_scale_ = 0.0;                   // starts; read-only after

@@ -69,6 +69,34 @@ void WriteTimeseriesJson(JsonWriter& jw, const Timeseries& series) {
   jw.EndArray();
 }
 
+void WriteRecorderJson(JsonWriter& jw, const Recorder& rec) {
+  for (std::size_t e = 0; e < kNumEvs; ++e) {
+    const auto ev = static_cast<Ev>(e);
+    jw.Key(EvName(ev)).Uint(rec.Count(ev));
+  }
+  const auto hist = [&jw](const std::string& name, const Histogram& h) {
+    if (h.empty()) return;
+    jw.Key(name).BeginObject();
+    jw.Key("count").Uint(h.count());
+    jw.Key("mean_ns").Double(h.Mean());
+    jw.Key("p50_ns").Uint(h.P50());
+    jw.Key("p95_ns").Uint(h.P95());
+    jw.Key("p99_ns").Uint(h.P99());
+    jw.Key("max_ns").Uint(h.max());
+    jw.EndObject();
+  };
+  jw.Key("latency").BeginObject();
+  for (std::size_t c = 0; c < kNumMsgCats; ++c) {
+    const auto cat = static_cast<MsgCat>(c);
+    hist("rtt_" + std::string(MsgCatName(cat)), rec.Rtt(cat));
+  }
+  for (std::size_t i = 0; i < kNumLats; ++i) {
+    const auto lat = static_cast<Lat>(i);
+    hist(std::string(LatName(lat)), rec.Latency(lat));
+  }
+  jw.EndObject();
+}
+
 bool WriteAuditFile(const std::string& path, const DecisionLedger& ledger) {
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();

@@ -1,12 +1,14 @@
 // JSON emission for the observability artifacts — the decision-ledger
-// audit file (--audit-out), the time-series blocks in bench summaries, and
-// the persisted live-poll snapshots (--poll-out). Shared here so every
-// producer emits the same shape and downstream tooling parses one format.
+// audit file (--audit-out), the counter and time-series blocks in bench
+// summaries, and the persisted live-poll snapshots (--poll-out). Shared
+// here so every producer emits the same shape and downstream tooling
+// parses one format.
 #pragma once
 
 #include <string>
 
 #include "src/stats/decision.h"
+#include "src/stats/stats.h"
 #include "src/stats/timeseries.h"
 #include "src/util/json.h"
 
@@ -23,6 +25,12 @@ void WriteSampleJson(JsonWriter& jw, const Sample& s);
 
 /// The series as a bare JSON array of samples.
 void WriteTimeseriesJson(JsonWriter& jw, const Timeseries& series);
+
+/// Writes `rec`'s counters as members of the enclosing object: one key per
+/// Ev (named by EvName, zeros included), then a `latency` object with one
+/// `{count, mean_ns, p50_ns, p95_ns, p99_ns, max_ns}` summary per non-empty
+/// fault-in RTT histogram (`rtt_<MsgCatName>`) and Lat histogram (LatName).
+void WriteRecorderJson(JsonWriter& jw, const Recorder& rec);
 
 /// Writes a standalone audit file: the ledger object above. Creates parent
 /// directories as needed; returns false (with a stderr note) on I/O error.

@@ -48,6 +48,7 @@ std::string_view EvName(Ev ev) {
     case Ev::kShmMsgs: return "shm_msgs";
     case Ev::kMailboxOverflowAllocs: return "mailbox_overflow_allocs";
     case Ev::kRxBufferAllocs: return "rx_buffer_allocs";
+    case Ev::kHolInherited: return "hol_inherited";
     case Ev::kCount: break;
   }
   return "?";

@@ -16,7 +16,10 @@
 
 namespace hmdsm::stats {
 
-/// Named protocol events (not wire messages).
+/// Named protocol events (not wire messages). This enum plus its EvName
+/// case is the whole registry: the CLI report, bench JSON/CSV rows, the
+/// lead's report gather and /metrics all iterate it, so a new counter
+/// needs no other edit.
 enum class Ev : std::uint8_t {
   kFaultIns,            // non-home access misses needing a remote fetch
   kLocalHits,           // accesses served from a valid cached copy
@@ -51,6 +54,9 @@ enum class Ev : std::uint8_t {
   kShmMsgs,             // data frames that took the shared-memory ring
   kMailboxOverflowAllocs, // overflow nodes allocated (not pool-recycled)
   kRxBufferAllocs,      // receive-path buffers allocated (not pool-recycled)
+  // Threads backend, latency injection only: deliveries that overshot
+  // their own deadline behind a head-of-line sleep (runtime/channel.h).
+  kHolInherited,
   kCount,
 };
 

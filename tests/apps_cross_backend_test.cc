@@ -14,8 +14,7 @@
 // their receive half.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
+#include <cstring>
 #include <functional>
 
 #include "src/apps/asp.h"
@@ -165,18 +164,24 @@ INSTANTIATE_TEST_SUITE_P(NodeCountsAndInjection, AppsCrossBackend,
 // Sockets backend: the same conformance bar, as a real multi-process run.
 // ---------------------------------------------------------------------------
 
+/// The lead rank's answer and its cluster-merged run report.
+struct MeshResult {
+  std::uint64_t answer = 0;
+  gos::RunReport report;
+};
+
 /// Forks a `nodes`-rank localhost mesh of ceil(nodes / ranks_per_proc)
 /// processes, runs `lead_result` in every process (SPMD — the replicas are
-/// what make the closures exist everywhere), and returns the bytes the
-/// process hosting rank 0 (the lead) produced, shipped back on a pipe.
-Bytes RunOnSocketMesh(
+/// what make the closures exist everywhere), and returns what the process
+/// hosting rank 0 (the lead) produced, after asserting that the gathered
+/// multi-process stats balance (sends equal receives at quiescence).
+MeshResult RunOnSocketMesh(
     std::size_t nodes, std::size_t ranks_per_proc,
-    const std::function<Bytes(gos::VmOptions)>& lead_result) {
-  int fds[2];
-  EXPECT_EQ(::pipe(fds), 0);
-  const int status = netio::RunLocalMesh(
-      nodes, ranks_per_proc, [&](const netio::LocalRank& self) {
-        ::close(fds[0]);
+    const std::function<MeshResult(gos::VmOptions)>& lead_result) {
+  Bytes blob;
+  const int status = netio::RunLocalMeshForLead(
+      nodes, ranks_per_proc,
+      [&](const netio::LocalRank& self) {
         gos::VmOptions vm;
         vm.nodes = self.peers.size();
         vm.dsm.policy = "AT";
@@ -185,55 +190,24 @@ Bytes RunOnSocketMesh(
         vm.sockets.peers = self.peers;
         vm.sockets.ranks_per_proc = self.ranks_per_proc;
         vm.sockets.listen_fd = self.listen_fd;
-        const Bytes result = lead_result(std::move(vm));
-        if (self.rank == 0 && !result.empty()) {
-          const auto written =
-              ::write(fds[1], result.data(), result.size());
-          if (written != static_cast<ssize_t>(result.size())) return 3;
-        }
-        ::close(fds[1]);
-        return 0;
-      });
-  ::close(fds[1]);
+        const MeshResult r = lead_result(std::move(vm));
+        Writer w;
+        w.u64(r.answer);
+        gos::EncodeReport(w, r.report);
+        return w.take();
+      },
+      &blob);
   EXPECT_EQ(status, 0) << "a mesh rank failed";
-  Bytes out;
-  Byte buf[4096];
-  ssize_t n;
-  while ((n = ::read(fds[0], buf, sizeof buf)) > 0)
-    out.insert(out.end(), buf, buf + n);
-  ::close(fds[0]);
-  return out;
-}
-
-/// Standard result blob: one u64 answer plus the gathered cluster stats'
-/// sent/received message counts (which must balance at quiescence).
-Bytes PackResult(std::uint64_t answer, const gos::RunReport& report) {
-  Writer w;
-  w.u64(answer);
-  w.u64(report.sent_messages);
-  w.u64(report.received_messages);
-  w.u64(report.sent_bytes);
-  w.u64(report.received_bytes);
-  return w.take();
-}
-
-struct MeshResult {
-  std::uint64_t answer = 0;
-};
-
-/// Unpacks and asserts the merged multi-process stats balance.
-MeshResult UnpackResult(const Bytes& blob) {
-  MeshResult r;
+  MeshResult out;
   Reader reader(blob);
-  r.answer = reader.u64();
-  const std::uint64_t sent_messages = reader.u64();
-  const std::uint64_t received_messages = reader.u64();
-  const std::uint64_t sent_bytes = reader.u64();
-  const std::uint64_t received_bytes = reader.u64();
-  EXPECT_GT(sent_messages, 0u) << "a multi-process run must use the wire";
-  EXPECT_EQ(sent_messages, received_messages);
-  EXPECT_EQ(sent_bytes, received_bytes);
-  return r;
+  out.answer = reader.u64();
+  out.report = gos::DecodeReport(reader);
+  EXPECT_TRUE(reader.done());
+  const gos::RunReport& r = out.report;
+  EXPECT_GT(r.sent_messages, 0u) << "a multi-process run must use the wire";
+  EXPECT_EQ(r.sent_messages, r.received_messages);
+  EXPECT_EQ(r.sent_bytes, r.received_bytes);
+  return out;
 }
 
 class AppsOnSockets : public ::testing::TestWithParam<std::size_t> {
@@ -249,11 +223,12 @@ TEST_P(AppsOnSockets, AspMatchesSimThreadsAndSerial) {
   const std::uint64_t serial = AspChecksum(SerialAsp(cfg.n, cfg.seed));
   EXPECT_EQ(RunAsp(Opts(nodes(), gos::Backend::kSim, false), cfg).checksum,
             serial);
-  const Bytes blob = RunOnSocketMesh(nodes(), /*ranks_per_proc=*/1, [&](gos::VmOptions vm) {
-    const AspResult r = RunAsp(vm, cfg);
-    return PackResult(r.checksum, r.report);
-  });
-  EXPECT_EQ(UnpackResult(blob).answer, serial);
+  const MeshResult res =
+      RunOnSocketMesh(nodes(), /*ranks_per_proc=*/1, [&](gos::VmOptions vm) {
+        const AspResult r = RunAsp(vm, cfg);
+        return MeshResult{r.checksum, r.report};
+      });
+  EXPECT_EQ(res.answer, serial);
 }
 
 TEST_P(AppsOnSockets, SorMatchesSimThreadsAndSerialBitwise) {
@@ -263,14 +238,15 @@ TEST_P(AppsOnSockets, SorMatchesSimThreadsAndSerialBitwise) {
   cfg.iterations = 3;
   cfg.model_compute = false;
   const double serial = SorChecksum(SerialSor(cfg));
-  const Bytes blob = RunOnSocketMesh(nodes(), /*ranks_per_proc=*/1, [&](gos::VmOptions vm) {
-    const SorResult r = RunSor(vm, cfg);
-    std::uint64_t bits;
-    std::memcpy(&bits, &r.checksum, sizeof bits);
-    return PackResult(bits, r.report);
-  });
+  const MeshResult res =
+      RunOnSocketMesh(nodes(), /*ranks_per_proc=*/1, [&](gos::VmOptions vm) {
+        const SorResult r = RunSor(vm, cfg);
+        std::uint64_t bits;
+        std::memcpy(&bits, &r.checksum, sizeof bits);
+        return MeshResult{bits, r.report};
+      });
   double got;
-  const std::uint64_t bits = UnpackResult(blob).answer;
+  const std::uint64_t bits = res.answer;
   std::memcpy(&got, &bits, sizeof got);
   EXPECT_DOUBLE_EQ(got, serial);
 }
@@ -286,14 +262,15 @@ TEST_P(AppsOnSockets, NbodyMatchesSimThreadsAndSerialBitwise) {
       RunNbody(Opts(nodes(), gos::Backend::kSim, false), cfg)
           .position_checksum,
       serial);
-  const Bytes blob = RunOnSocketMesh(nodes(), /*ranks_per_proc=*/1, [&](gos::VmOptions vm) {
-    const NbodyResult r = RunNbody(vm, cfg);
-    std::uint64_t bits;
-    std::memcpy(&bits, &r.position_checksum, sizeof bits);
-    return PackResult(bits, r.report);
-  });
+  const MeshResult res =
+      RunOnSocketMesh(nodes(), /*ranks_per_proc=*/1, [&](gos::VmOptions vm) {
+        const NbodyResult r = RunNbody(vm, cfg);
+        std::uint64_t bits;
+        std::memcpy(&bits, &r.position_checksum, sizeof bits);
+        return MeshResult{bits, r.report};
+      });
   double got;
-  const std::uint64_t bits = UnpackResult(blob).answer;
+  const std::uint64_t bits = res.answer;
   std::memcpy(&got, &bits, sizeof got);
   EXPECT_DOUBLE_EQ(got, serial);
 }
@@ -304,11 +281,12 @@ TEST_P(AppsOnSockets, TspFindsTheOptimum) {
   cfg.cities = 8;
   cfg.model_compute = false;
   const std::int32_t optimum = SerialTspBest(cfg);
-  const Bytes blob = RunOnSocketMesh(nodes(), /*ranks_per_proc=*/1, [&](gos::VmOptions vm) {
-    const TspResult r = RunTsp(vm, cfg);
-    return PackResult(static_cast<std::uint64_t>(r.best_length), r.report);
-  });
-  EXPECT_EQ(UnpackResult(blob).answer,
+  const MeshResult res =
+      RunOnSocketMesh(nodes(), /*ranks_per_proc=*/1, [&](gos::VmOptions vm) {
+        const TspResult r = RunTsp(vm, cfg);
+        return MeshResult{static_cast<std::uint64_t>(r.best_length), r.report};
+      });
+  EXPECT_EQ(res.answer,
             static_cast<std::uint64_t>(optimum));
 }
 
@@ -323,14 +301,14 @@ TEST_P(AppsOnSockets, SyntheticCounterIsExact) {
       (cfg.target + cfg.repetition - 1) / cfg.repetition * cfg.repetition;
   // Note: turns_taken is process-local (ghost mains host no workers), so
   // only the shared-memory answer — the counter — crosses the mesh.
-  const Bytes blob =
+  const MeshResult res =
       RunOnSocketMesh(nodes() + 1, /*ranks_per_proc=*/1,
                       [&](gos::VmOptions vm) {
         const SyntheticResult r = RunSynthetic(vm, cfg);
-        return PackResult(static_cast<std::uint64_t>(r.final_count),
-                          r.report);
+        return MeshResult{static_cast<std::uint64_t>(r.final_count),
+                          r.report};
       });
-  EXPECT_EQ(UnpackResult(blob).answer,
+  EXPECT_EQ(res.answer,
             static_cast<std::uint64_t>(expected));
 }
 
@@ -350,11 +328,12 @@ TEST_P(AppsOnSockets, EveryScenarioPatternMatchesSimAndThreads) {
     const auto thr_res = workload::RunScenario(threads, scenario);
     EXPECT_EQ(sim_res.checksum, thr_res.checksum) << pattern;
 
-    const Bytes blob = RunOnSocketMesh(nodes(), /*ranks_per_proc=*/1, [&](gos::VmOptions vm) {
-      const auto r = workload::RunScenario(vm, scenario);
-      return PackResult(r.checksum, r.report);
-    });
-    EXPECT_EQ(UnpackResult(blob).answer, sim_res.checksum) << pattern;
+    const MeshResult res =
+        RunOnSocketMesh(nodes(), /*ranks_per_proc=*/1, [&](gos::VmOptions vm) {
+          const auto r = workload::RunScenario(vm, scenario);
+          return MeshResult{r.checksum, r.report};
+        });
+    EXPECT_EQ(res.answer, sim_res.checksum) << pattern;
   }
 }
 
@@ -377,26 +356,12 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksInTwoProcesses) {
   const workload::Scenario scenario = workload::GeneratePattern(params);
   const auto sim_res = workload::RunScenario(
       Opts(8, gos::Backend::kSim, false), scenario);
-  const Bytes blob =
+  const MeshResult res =
       RunOnSocketMesh(8, /*ranks_per_proc=*/4, [&](gos::VmOptions vm) {
         const auto r = workload::RunScenario(vm, scenario);
-        return PackResult(r.checksum, r.report);
+        return MeshResult{r.checksum, r.report};
       });
-  EXPECT_EQ(UnpackResult(blob).answer, sim_res.checksum);
-}
-
-/// Ships the checksum plus the v7 hot-path counters so the lead test
-/// process can see whether deltas/shm actually fired cluster-wide.
-Bytes PackHotPathResult(std::uint64_t answer, const gos::RunReport& report) {
-  Writer w;
-  w.u64(answer);
-  w.u64(report.sent_messages);
-  w.u64(report.received_messages);
-  w.u64(report.shm_msgs);
-  w.u64(report.wire_delta_hits);
-  w.u64(report.wire_delta_misses);
-  w.u64(report.wire_delta_bytes_saved);
-  return w.take();
+  EXPECT_EQ(res.answer, sim_res.checksum);
 }
 
 // The full v7 hot path: 8 ranks in 2 co-located processes with wire deltas
@@ -411,24 +376,19 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksWithWireDeltaAndShm) {
   const workload::Scenario scenario = workload::GeneratePattern(params);
   const auto sim_res = workload::RunScenario(
       Opts(8, gos::Backend::kSim, false), scenario);
-  const Bytes blob =
+  const MeshResult res =
       RunOnSocketMesh(8, /*ranks_per_proc=*/4, [&](gos::VmOptions vm) {
         vm.sockets.wire_delta = true;
         vm.sockets.shm = true;
         const auto r = workload::RunScenario(vm, scenario);
-        return PackHotPathResult(r.checksum, r.report);
+        return MeshResult{r.checksum, r.report};
       });
-  Reader reader(blob);
-  EXPECT_EQ(reader.u64(), sim_res.checksum);
-  const std::uint64_t sent_messages = reader.u64();
-  EXPECT_EQ(sent_messages, reader.u64()) << "message conservation";
-  EXPECT_GT(reader.u64(), 0u) << "co-located data frames should ride shm";
-  const std::uint64_t delta_hits = reader.u64();
-  const std::uint64_t delta_misses = reader.u64();
-  EXPECT_GT(delta_hits + delta_misses, 0u)
+  EXPECT_EQ(res.answer, sim_res.checksum);
+  const gos::RunReport& r = res.report;
+  EXPECT_GT(r.shm_msgs, 0u) << "co-located data frames should ride shm";
+  EXPECT_GT(r.wire_delta_hits + r.wire_delta_misses, 0u)
       << "object replies should consult the delta caches";
-  const std::uint64_t bytes_saved = reader.u64();
-  if (delta_hits == 0) EXPECT_EQ(bytes_saved, 0u);
+  if (r.wire_delta_hits == 0) EXPECT_EQ(r.wire_delta_bytes_saved, 0u);
 }
 
 // The same run with both hot-path features explicitly off is the control:
@@ -441,21 +401,19 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksPlainWireControl) {
   const workload::Scenario scenario = workload::GeneratePattern(params);
   const auto sim_res = workload::RunScenario(
       Opts(8, gos::Backend::kSim, false), scenario);
-  const Bytes blob =
+  const MeshResult res =
       RunOnSocketMesh(8, /*ranks_per_proc=*/4, [&](gos::VmOptions vm) {
         vm.sockets.wire_delta = false;
         vm.sockets.shm = false;
         const auto r = workload::RunScenario(vm, scenario);
-        return PackHotPathResult(r.checksum, r.report);
+        return MeshResult{r.checksum, r.report};
       });
-  Reader reader(blob);
-  EXPECT_EQ(reader.u64(), sim_res.checksum);
-  const std::uint64_t sent_messages = reader.u64();
-  EXPECT_EQ(sent_messages, reader.u64());
-  EXPECT_EQ(reader.u64(), 0u) << "shm was off";
-  EXPECT_EQ(reader.u64(), 0u) << "delta was off: no hits";
-  EXPECT_EQ(reader.u64(), 0u) << "delta was off: no misses";
-  EXPECT_EQ(reader.u64(), 0u) << "delta was off: no bytes saved";
+  EXPECT_EQ(res.answer, sim_res.checksum);
+  const gos::RunReport& r = res.report;
+  EXPECT_EQ(r.shm_msgs, 0u) << "shm was off";
+  EXPECT_EQ(r.wire_delta_hits, 0u) << "delta was off: no hits";
+  EXPECT_EQ(r.wire_delta_misses, 0u) << "delta was off: no misses";
+  EXPECT_EQ(r.wire_delta_bytes_saved, 0u) << "delta was off: no bytes saved";
 }
 
 TEST(AppsOnSocketsMultiRank, AspEightRanksInTwoProcesses) {
@@ -464,12 +422,12 @@ TEST(AppsOnSocketsMultiRank, AspEightRanksInTwoProcesses) {
   cfg.n = 24;
   cfg.model_compute = false;
   const std::uint64_t serial = AspChecksum(SerialAsp(cfg.n, cfg.seed));
-  const Bytes blob =
+  const MeshResult res =
       RunOnSocketMesh(8, /*ranks_per_proc=*/4, [&](gos::VmOptions vm) {
         const AspResult r = RunAsp(vm, cfg);
-        return PackResult(r.checksum, r.report);
+        return MeshResult{r.checksum, r.report};
       });
-  EXPECT_EQ(UnpackResult(blob).answer, serial);
+  EXPECT_EQ(res.answer, serial);
 }
 
 // The measured clock must actually reflect injected latency: the same app

@@ -257,6 +257,33 @@ TEST(VmThreads, SynchronizedCountersAreExact) {
   });
 }
 
+// Head-of-line inherited deliveries belong to the measured window like
+// every other counter: setup-phase traffic must not leak into a report
+// taken right after ResetMeasurement().
+TEST(VmThreads, HolInheritedCountsOnlyTheMeasuredWindow) {
+  VmOptions o = ThreadsOpts(4);
+  o.inject_latency = true;
+  Vm vm(o);
+  vm.Run([&](Env& env) {
+    // Mixed 16 B / 64 KiB objects: a small packet queued behind a large
+    // one inherits the large one's delivery deadline.
+    std::vector<ObjectId> objs;
+    for (std::uint32_t i = 0; i < 32; ++i) {
+      objs.push_back(vm.CreateObject(env, static_cast<NodeId>(i % 4),
+                                     Bytes(i % 2 == 0 ? 16 : 64 * 1024)));
+    }
+    std::vector<Thread*> readers;
+    for (NodeId n = 1; n < 4; ++n) {
+      readers.push_back(vm.Spawn(n, [&](Env& me) {
+        for (ObjectId obj : objs) me.Read(obj, [](ByteSpan) {});
+      }));
+    }
+    for (Thread* t : readers) vm.Join(env, t);
+    vm.ResetMeasurement();
+    EXPECT_EQ(vm.Report().totals.Count(stats::Ev::kHolInherited), 0u);
+  });
+}
+
 TEST(VmThreads, QuiesceJoinsGuestsDrainsTrafficAndBalancesRecorders) {
   // Regression for the shutdown path: after joining every worker and
   // quiescing, (1) every Thread reports done, (2) the transport has no

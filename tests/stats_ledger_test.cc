@@ -287,14 +287,14 @@ TEST(AuditEndToEnd, PhasedWriterProducesDecisionsAndAdaptationLatency) {
   const workload::ScenarioResult res =
       workload::RunScenario(vm, workload::GeneratePattern(params));
   const gos::RunReport& r = res.report;
-  ASSERT_GE(r.ledger.size(), 1u);
-  EXPECT_EQ(r.ledger.size() + r.ledger.dropped(),
+  ASSERT_GE(r.totals.Ledger().size(), 1u);
+  EXPECT_EQ(r.totals.Ledger().size() + r.totals.Ledger().dropped(),
             r.migrations + r.mig_rejections);
   EXPECT_GE(r.adaptation.count, 1u);
   EXPECT_GT(r.adaptation.p50, 0u);
-  EXPECT_FALSE(r.series.empty());
+  EXPECT_FALSE(r.totals.Series().empty());
   // Every decision names a live node and carries the policy inputs.
-  for (const Decision& d : r.ledger.decisions()) {
+  for (const Decision& d : r.totals.Ledger().decisions()) {
     EXPECT_LT(d.home, params.nodes);
     EXPECT_LT(d.requester, params.nodes);
     EXPECT_LT(d.destination, params.nodes);
@@ -318,8 +318,8 @@ TEST(AuditEndToEnd, AuditOffRecordsNoLedgerOrSeries) {
   vm.poll_interval_s = 0.01;
   const workload::ScenarioResult res =
       workload::RunScenario(vm, workload::GeneratePattern(params));
-  EXPECT_TRUE(res.report.ledger.empty());
-  EXPECT_TRUE(res.report.series.empty());
+  EXPECT_TRUE(res.report.totals.Ledger().empty());
+  EXPECT_TRUE(res.report.totals.Series().empty());
   // Migration behavior itself is unchanged — audit is observation only.
   EXPECT_GT(res.report.migrations, 0u);
 }

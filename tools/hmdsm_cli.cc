@@ -122,21 +122,22 @@ std::string FmtNs(std::uint64_t ns) {
   return buf;
 }
 
-void PrintLatencies(const gos::RunReport& r) {
+/// Every non-empty fault-in RTT and named latency histogram.
+void PrintLatencies(const stats::Recorder& rec) {
   Table t({"latency", "count", "p50", "p95", "p99", "max"});
-  const auto add = [&t](const std::string& name, const gos::HistSummary& h) {
-    if (h.count == 0) return;
-    t.AddRow({name, FmtI(static_cast<long long>(h.count)), FmtNs(h.p50),
-              FmtNs(h.p95), FmtNs(h.p99), FmtNs(h.max)});
+  const auto add = [&t](const std::string& name, const stats::Histogram& h) {
+    if (h.empty()) return;
+    t.AddRow({name, FmtI(static_cast<long long>(h.count())), FmtNs(h.P50()),
+              FmtNs(h.P95()), FmtNs(h.P99()), FmtNs(h.max())});
   };
   for (std::size_t i = 0; i < stats::kNumMsgCats; ++i) {
     const auto cat = static_cast<stats::MsgCat>(i);
-    add("rtt " + std::string(stats::MsgCatName(cat)), r.rtt[i]);
+    add("rtt_" + std::string(stats::MsgCatName(cat)), rec.Rtt(cat));
   }
-  add("mailbox dwell", r.mailbox_dwell);
-  add("socket write", r.socket_write_ns);
-  add("migration first access", r.migration_first_access);
-  add("adaptation", r.adaptation);
+  for (std::size_t i = 0; i < stats::kNumLats; ++i) {
+    const auto lat = static_cast<stats::Lat>(i);
+    add(std::string(stats::LatName(lat)), rec.Latency(lat));
+  }
   if (t.rows() == 0) return;
   std::printf("\n");
   t.Print(std::cout);
@@ -157,28 +158,19 @@ void PrintReport(const gos::RunReport& r, bool wall_clock = false,
   t.AddRow({"total", FmtI(static_cast<long long>(r.messages)),
             FmtBytes(static_cast<double>(r.bytes))});
   t.Print(std::cout);
-  std::printf(
-      "\nmigrations=%llu rejections=%llu redirect-hops=%llu diffs=%llu "
-      "fault-ins=%llu exclusive-home-writes=%llu\n",
-      static_cast<unsigned long long>(r.migrations),
-      static_cast<unsigned long long>(r.mig_rejections),
-      static_cast<unsigned long long>(r.redirect_hops),
-      static_cast<unsigned long long>(r.diffs_created),
-      static_cast<unsigned long long>(r.fault_ins),
-      static_cast<unsigned long long>(r.exclusive_home_writes));
-  if (r.socket_writes > 0 || r.shm_msgs > 0) {
-    std::printf(
-        "wire: delta-hits=%llu delta-misses=%llu delta-bytes-saved=%llu "
-        "shm-msgs=%llu overflow-allocs=%llu rx-buffer-allocs=%llu\n",
-        static_cast<unsigned long long>(r.wire_delta_hits),
-        static_cast<unsigned long long>(r.wire_delta_misses),
-        static_cast<unsigned long long>(r.wire_delta_bytes_saved),
-        static_cast<unsigned long long>(r.shm_msgs),
-        static_cast<unsigned long long>(r.mailbox_overflow_allocs),
-        static_cast<unsigned long long>(r.rx_buffer_allocs));
+  Table counters({"counter", "value"});
+  for (std::size_t e = 0; e < stats::kNumEvs; ++e) {
+    const auto ev = static_cast<stats::Ev>(e);
+    if (r.totals.Count(ev) == 0) continue;
+    counters.AddRow({std::string(stats::EvName(ev)),
+                     FmtI(static_cast<long long>(r.totals.Count(ev)))});
+  }
+  if (counters.rows() > 0) {
+    std::printf("\n");
+    counters.Print(std::cout);
   }
   if (!r.peer_health.empty()) {
-    std::printf("mesh health:");
+    std::printf("\nmesh health:");
     for (const auto& p : r.peer_health) {
       std::printf(" rank%u=%s", p.primary, p.state.c_str());
       if (p.rtt_p50_us >= 0)
@@ -186,11 +178,12 @@ void PrintReport(const gos::RunReport& r, bool wall_clock = false,
     }
     std::printf("\n");
   }
-  PrintLatencies(r);
-  if (!audit_out.empty() && stats::WriteAuditFile(audit_out, r.ledger)) {
+  PrintLatencies(r.totals);
+  const stats::DecisionLedger& ledger = r.totals.Ledger();
+  if (!audit_out.empty() && stats::WriteAuditFile(audit_out, ledger)) {
     std::printf("audit ledger (%zu decisions, %llu dropped) -> %s\n",
-                r.ledger.size(),
-                static_cast<unsigned long long>(r.ledger.dropped()),
+                ledger.size(),
+                static_cast<unsigned long long>(ledger.dropped()),
                 audit_out.c_str());
   }
 }
