@@ -8,16 +8,17 @@
 // how many syscall-level socket writes the whole cluster issued for how
 // many wire frames (every rank's transport folds its counters into the
 // coordinator's stats gather, so the totals cover all ranks, not just the
-// lead). Each workload runs through a wire ablation:
+// lead). Each workload runs in three configurations:
 //
 //   * threads + Hockney latency injection — the modeled network regime the
 //     sockets numbers are compared against (same scenario, same checksum);
-//   * sockets_batch — adaptive batching, deltas and shm off (the PR-9 wire,
-//     the baseline the hot path is measured against);
-//   * sockets_nobatch — one write per frame, the v1 wire;
-//   * sockets_delta / sockets_shm / sockets_delta_shm — wire delta encoding
-//     and the same-host shared-memory rings, each alone and together (the
-//     finished hot path). Smoke keeps the endpoints: baseline + delta_shm.
+//   * sockets_tcp — every data frame crosses loopback TCP (the wire two
+//     hosts would use);
+//   * sockets_shm — same-host data frames ride the shared-memory rings
+//     (the default; --shm=0 drops this row).
+//
+// Both sockets rows run the one wire the transport has: adaptive batching
+// and wire delta encoding are always on.
 //
 // Checksums must agree with the sim run everywhere: every throughput row
 // is also a cross-backend data-integrity witness. The lead rank's report
@@ -69,23 +70,19 @@ workload::Scenario StripDelays(workload::Scenario s) {
   return s;
 }
 
-/// One wire configuration of the sockets transport under measurement.
-struct WireConfig {
-  std::string name;  // the row's config label
-  bool batch = true;
-  bool wire_delta = false;
-  bool shm = false;
-};
+/// The row label of a sockets run on the shm rings or on TCP.
+const char* WireName(bool shm) { return shm ? "sockets_shm" : "sockets_tcp"; }
 
-/// Forks a localhost mesh, runs `run` in every rank (SPMD), and returns the
-/// lead's result (its report's counters are cluster totals: every rank's
-/// transport folds its window into the coordinator's stats gather). False
-/// when any rank failed. With `trace_path` set, every rank writes a Chrome
+/// Forks a localhost mesh (data frames on the shm rings when `shm`, else
+/// on TCP), runs `run` in every rank (SPMD), and returns the lead's result
+/// (its report's counters are cluster totals: every rank's transport folds
+/// its window into the coordinator's stats gather). False when any rank
+/// failed. With `trace_path` set, every rank writes a Chrome
 /// trace shard on teardown and the parent merges them into one
 /// Perfetto-loadable file.
 bool RunOnMesh(
     std::size_t nodes, std::size_t ranks_per_proc, std::size_t io_threads,
-    const WireConfig& wire, const std::string& trace_path,
+    bool shm, const std::string& trace_path,
     const std::function<workload::ScenarioResult(gos::VmOptions)>& run,
     workload::ScenarioResult* out) {
   Bytes blob;
@@ -101,9 +98,7 @@ bool RunOnMesh(
         vm.sockets.ranks_per_proc = self.ranks_per_proc;
         vm.sockets.listen_fd = self.listen_fd;
         vm.sockets.io_threads = io_threads;
-        vm.sockets.batch_frames = wire.batch;
-        vm.sockets.wire_delta = wire.wire_delta;
-        vm.sockets.shm = wire.shm;
+        vm.sockets.shm = shm;
         vm.trace_out = trace_path;
         const workload::ScenarioResult res = run(std::move(vm));
         Writer w;
@@ -130,7 +125,7 @@ bool RunOnMesh(
 /// One measured configuration of one workload.
 struct Row {
   std::string workload;
-  std::string config;  // threads_inject | sockets_batch | sockets_nobatch
+  std::string config;  // threads_inject | sockets_tcp | sockets_shm
   workload::ScenarioResult res;
   bool ok = false;          // run completed and metrics parsed
   bool checksum_ok = false;  // matches the sim reference
@@ -165,14 +160,8 @@ int RunScalingSweep(const Flags& flags, bool smoke) {
       static_cast<std::size_t>(flags.GetInt("max-procs", 8));
   const std::size_t io_threads =
       static_cast<std::size_t>(flags.GetInt("io-threads", 4));
-  // The sweep runs the full hot path (the configuration ops run under);
-  // flip either flag off to sweep the ablated wire.
-  const WireConfig wire{flags.GetBool("wire-delta", true) ||
-                                flags.GetBool("shm", true)
-                            ? "sockets_hotpath"
-                            : "sockets_batch",
-                        /*batch=*/true, flags.GetBool("wire-delta", true),
-                        flags.GetBool("shm", true)};
+  // The sweep runs the default wire (shm rings on); --shm=0 sweeps TCP.
+  const bool shm = flags.GetBool("shm", true);
 
   struct ScalePoint {
     std::size_t nodes = 0;
@@ -211,7 +200,7 @@ int RunScalingSweep(const Flags& flags, bool smoke) {
         workload::RunScenario(sim_opts, scenario);
 
     pt.ok = RunOnMesh(
-        n, pt.ranks_per_proc, io_threads, wire, /*trace_path=*/{},
+        n, pt.ranks_per_proc, io_threads, shm, /*trace_path=*/{},
         [&](gos::VmOptions vm) { return workload::RunScenario(vm, scenario); },
         &pt.res);
     pt.checksum_ok = pt.ok && pt.res.checksum == sim.checksum;
@@ -258,8 +247,7 @@ int RunScalingSweep(const Flags& flags, bool smoke) {
     j.Key("repetitions").Uint(reps);
     j.Key("max_procs").Uint(max_procs);
     j.Key("io_threads").Uint(io_threads);
-    j.Key("wire_delta").Bool(wire.wire_delta);
-    j.Key("shm").Bool(wire.shm);
+    j.Key("shm").Bool(shm);
     j.Key("nodes").BeginArray();
     for (const std::size_t n : counts) j.Uint(n);
     j.EndArray();
@@ -314,20 +302,10 @@ int main(int argc, char** argv) {
   const int asp_size =
       static_cast<int>(flags.GetInt("asp-size", smoke ? 12 : 32));
 
-  // The wire ablation: sockets_batch is the delta/shm-free baseline (the
-  // previous wire behavior), then each hot-path feature alone, then both.
-  // Smoke keeps the endpoints (baseline + full hot path) for CI.
-  const bool delta_flag = flags.GetBool("wire-delta", true);
+  // TCP is the baseline the shm rings are measured against.
   const bool shm_flag = flags.GetBool("shm", true);
-  std::vector<WireConfig> configs;
-  configs.push_back({"sockets_batch", true, false, false});
-  if (!smoke) {
-    configs.push_back({"sockets_nobatch", false, false, false});
-    if (delta_flag) configs.push_back({"sockets_delta", true, true, false});
-    if (shm_flag) configs.push_back({"sockets_shm", true, false, true});
-  }
-  if (delta_flag && shm_flag)
-    configs.push_back({"sockets_delta_shm", true, true, true});
+  std::vector<bool> wires = {false};
+  if (shm_flag) wires.push_back(true);
 
   gos::VmOptions sim_opts;
   sim_opts.nodes = params.nodes;
@@ -364,13 +342,13 @@ int main(int argc, char** argv) {
     all_ok = all_ok && threads_row.checksum_ok;
     rows.push_back(threads_row);
 
-    for (const WireConfig& wire : configs) {
+    for (const bool shm : wires) {
       Row r;
       r.workload = pattern;
-      r.config = wire.name;
+      r.config = WireName(shm);
       const std::string trace_path = std::exchange(pending_trace, {});
       r.ok = RunOnMesh(
-          params.nodes, /*ranks_per_proc=*/1, io_threads, wire, trace_path,
+          params.nodes, /*ranks_per_proc=*/1, io_threads, shm, trace_path,
           [&](gos::VmOptions vm) {
             return workload::RunScenario(vm, scenario);
           },
@@ -395,13 +373,13 @@ int main(int argc, char** argv) {
                     thr_res.checksum == sim_res.checksum};
     all_ok = all_ok && threads_row.checksum_ok;
     rows.push_back(threads_row);
-    for (const WireConfig& wire : configs) {
+    for (const bool shm : wires) {
       Row r;
       r.workload = "asp";
-      r.config = wire.name;
+      r.config = WireName(shm);
       const std::string trace_path = std::exchange(pending_trace, {});
       r.ok = RunOnMesh(
-          params.nodes, /*ranks_per_proc=*/1, io_threads, wire, trace_path,
+          params.nodes, /*ranks_per_proc=*/1, io_threads, shm, trace_path,
           [&](gos::VmOptions vm) {
             const auto res = apps::RunAsp(vm, cfg);
             return workload::ScenarioResult{res.report, 0, res.checksum};
@@ -418,12 +396,9 @@ int main(int argc, char** argv) {
 
   // --- phase churn: decision ledger, time-series, adaptation latency ------
   // phased_writer rotates the sole writer every few epochs — the shape the
-  // adaptive policy exists to chase. One audited run exercises the whole
+  // adaptive policy exists to chase. The run exercises the whole
   // decision-observability plane (ledger gather + audit JSON, poll-driven
-  // per-rank sampling, phase-marker adaptation latency); the paired
-  // --audit=0 run is the throughput-overhead control (compare us/msg).
-  gos::RunReport churn_audit;
-  bool churn_audit_ok = false;
+  // per-rank sampling, phase-marker adaptation latency).
   const std::string audit_path = bench::JsonPath("mesh_audit");
   {
     workload::PatternParams churn = params;
@@ -435,41 +410,32 @@ int main(int argc, char** argv) {
         StripDelays(workload::GeneratePattern(churn));
     const workload::ScenarioResult sim =
         workload::RunScenario(sim_opts, scenario);
-    for (const bool audit : {true, false}) {
-      Row r;
-      r.workload = "phased_churn";
-      r.config = audit ? "sockets_audit" : "sockets_noaudit";
-      // Both audit rows run the full hot path: the pair isolates audit
-      // overhead, not the wire configuration.
-      r.ok = RunOnMesh(
-          params.nodes, /*ranks_per_proc=*/1, io_threads,
-          WireConfig{r.config, true, delta_flag, shm_flag},
-          /*trace_path=*/{},
-          [&](gos::VmOptions vm) {
-            vm.dsm.audit = audit;
-            // Below the CLI's 10ms floor on purpose: the bench wants several
-            // closed windows per rank inside a tens-of-ms run.
-            vm.poll_interval_s = 0.005;
-            const workload::ScenarioResult res =
-                workload::RunScenario(vm, scenario);
-            if (audit && vm.sockets.rank == 0 && !audit_path.empty())
-              stats::WriteAuditFile(audit_path, res.report.totals.Ledger());
-            return res;
-          },
-          &r.res);
-      r.checksum_ok = r.ok && r.res.checksum == sim.checksum;
-      all_ok = all_ok && r.ok && r.checksum_ok;
-      if (audit) {
-        churn_audit = r.res.report;
-        // Every policy consultation must be in the ledger: accepted ones
-        // bumped kMigrations, declined ones kMigRejections.
-        churn_audit_ok = r.ok && Decisions(churn_audit) ==
-                                     churn_audit.migrations +
-                                         churn_audit.mig_rejections;
-        all_ok = all_ok && churn_audit_ok;
-      }
-      rows.push_back(r);
-    }
+    Row r;
+    r.workload = "phased_churn";
+    r.config = WireName(shm_flag);
+    r.ok = RunOnMesh(
+        params.nodes, /*ranks_per_proc=*/1, io_threads, shm_flag,
+        /*trace_path=*/{},
+        [&](gos::VmOptions vm) {
+          // Below the CLI's 10ms floor on purpose: the bench wants several
+          // closed windows per rank inside a tens-of-ms run.
+          vm.poll_interval_s = 0.005;
+          const workload::ScenarioResult res =
+              workload::RunScenario(vm, scenario);
+          if (vm.sockets.rank == 0 && !audit_path.empty())
+            stats::WriteAuditFile(audit_path, res.report.totals.Ledger());
+          return res;
+        },
+        &r.res);
+    r.checksum_ok = r.ok && r.res.checksum == sim.checksum;
+    const gos::RunReport& churn_audit = r.res.report;
+    // Every policy consultation must be in the ledger: accepted ones
+    // bumped kMigrations, declined ones kMigRejections.
+    const bool churn_audit_ok =
+        r.ok && Decisions(churn_audit) ==
+                    churn_audit.migrations + churn_audit.mig_rejections;
+    all_ok = all_ok && r.ok && r.checksum_ok && churn_audit_ok;
+    rows.push_back(r);
     std::printf(
         "phase churn (audit): decisions=%llu migrations=%llu rejections=%llu "
         "[%s]  adaptation count=%llu p50=%llu p95=%llu p99=%llu ns  "
@@ -529,10 +495,10 @@ int main(int argc, char** argv) {
   t.Print(std::cout);
   std::printf(
       "\n(sockets rows: forked %u-rank localhost mesh; writes/frames/deltas/"
-      "shm are cluster totals over every rank's transport. sockets_batch is "
-      "the delta/shm-free baseline wire; _delta adds wire delta encoding, "
-      "_shm moves same-host data frames onto shared-memory rings, "
-      "_delta_shm is the full hot path.\n"
+      "shm are cluster totals over every rank's transport. Batching and wire "
+      "deltas are always on; sockets_tcp carries every data frame over "
+      "loopback TCP, sockets_shm moves same-host data frames onto "
+      "shared-memory rings.\n"
       " threads_inject rows: in-process backend with per-delivery Hockney "
       "deadlines — the modeled regime the mesh is compared against.)\n",
       params.nodes);
@@ -552,7 +518,6 @@ int main(int argc, char** argv) {
     // Mesh shape: enough to rebuild the exact run from the JSON alone.
     j.Key("ranks_per_proc").Uint(1);
     j.Key("io_threads").Uint(io_threads);
-    j.Key("wire_delta").Bool(delta_flag);
     j.Key("shm").Bool(shm_flag);
     j.Key("rows").BeginArray();
     for (const Row& r : rows) {

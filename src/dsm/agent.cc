@@ -269,34 +269,32 @@ void Agent::ServeAtHome(NodeId requester, const proto::ObjRequest& msg) {
   if (!migrate) rec.Bump(Ev::kMigRejections);
   // The audit record captures the exact state ShouldMigrate saw, so it is
   // built here — before RecordRequester/OnMigrated mutate the counters.
-  if (config_.audit) {
-    const double threshold =
-        policy_->LiveThreshold(entry.pol, entry.data.size());
-    stats::Decision d;
-    d.obj = msg.obj.value;
-    d.epoch = entry.pol.epoch;
-    d.home = node_;
-    d.requester = requester;
-    d.consecutive_writes = entry.pol.consecutive_remote_writes;
-    d.consecutive_writer = entry.pol.consecutive_writer;
-    d.redirects = entry.pol.redirected_requests;
-    d.exclusive_home_writes = entry.pol.exclusive_home_writes;
-    d.threshold = threshold;
-    d.object_bytes = entry.data.size();
-    d.for_write = msg.for_write;
-    d.migrate = migrate;
-    d.destination = migrate ? requester : node_;
-    d.at_ns = net_.Now();
-    rec.RecordDecision(d);
-    // Trace value: live threshold ×1000, negated for "stay" verdicts
-    // (clamped — NoHM reports an infinite threshold).
-    const std::int64_t scaled =
-        std::isfinite(threshold)
-            ? static_cast<std::int64_t>(threshold * 1000)
-            : std::numeric_limits<std::int64_t>::max();
-    Emit(trace::What::kDecision, msg.obj.value, requester,
-         migrate ? scaled : -scaled);
-  }
+  const double threshold =
+      policy_->LiveThreshold(entry.pol, entry.data.size());
+  stats::Decision d;
+  d.obj = msg.obj.value;
+  d.epoch = entry.pol.epoch;
+  d.home = node_;
+  d.requester = requester;
+  d.consecutive_writes = entry.pol.consecutive_remote_writes;
+  d.consecutive_writer = entry.pol.consecutive_writer;
+  d.redirects = entry.pol.redirected_requests;
+  d.exclusive_home_writes = entry.pol.exclusive_home_writes;
+  d.threshold = threshold;
+  d.object_bytes = entry.data.size();
+  d.for_write = msg.for_write;
+  d.migrate = migrate;
+  d.destination = migrate ? requester : node_;
+  d.at_ns = net_.Now();
+  rec.RecordDecision(d);
+  // Trace value: live threshold ×1000, negated for "stay" verdicts
+  // (clamped — NoHM reports an infinite threshold).
+  const std::int64_t scaled =
+      std::isfinite(threshold)
+          ? static_cast<std::int64_t>(threshold * 1000)
+          : std::numeric_limits<std::int64_t>::max();
+  Emit(trace::What::kDecision, msg.obj.value, requester,
+       migrate ? scaled : -scaled);
   // Sharing bookkeeping happens after the decision: "was the requester the
   // sole sharer so far" must not include the request being decided.
   entry.pol.RecordRequester(requester);

@@ -58,13 +58,6 @@ struct DsmConfig {
 
   /// Guard against unbounded redirect chains (indicates a protocol bug).
   std::uint32_t max_redirect_hops = 4096;
-
-  /// Decision-audit instrumentation: record every migration-policy
-  /// consultation into the per-rank decision ledger (and let the backends
-  /// run their time-series samplers). Cheap — a bounded ring append per
-  /// served request — but `--audit=0` turns it off for clean-room
-  /// throughput comparisons.
-  bool audit = true;
 };
 
 inline std::string NotifyMechanismName(NotifyMechanism m) {

@@ -206,11 +206,14 @@ struct VmOptions {
     /// thread cost independent of rank count.
     std::size_t io_threads = 4;
     int listen_fd = -1;
-    /// Adaptive frame batching on the per-peer writer queues (coalesce a
-    /// backlog of small frames into one wire write). On by default; off
-    /// reproduces the one-write-per-frame v1 wire behavior (benches use it
-    /// for before/after comparisons).
-    bool batch_frames = true;
+    /// Adaptive frame batching (a backlog of small frames coalesces into
+    /// one wire write) and wire delta encoding (repeat object payloads ship
+    /// as diffs against the version the receiver holds) are always on;
+    /// see netio/socket_transport.h. These constants remain only because
+    /// the benchmark's provenance block (perfbench/dsmbench.cc) reads them
+    /// by name; they can go when the benchmark next changes.
+    static constexpr bool batch_frames = true;
+    static constexpr bool wire_delta = true;
     /// Link-liveness heartbeat period (ms): each peer-process link is
     /// probed from the reactor's timer, feeding per-link RTT histograms
     /// and the coordinator's healthy → suspect → dead state machine. 0
@@ -221,12 +224,6 @@ struct VmOptions {
     /// duration (0 picks an ephemeral port; the bound port is printed to
     /// stderr). -1 disables the exporter. Non-lead processes ignore it.
     int metrics_port = -1;
-    /// Wire delta encoding: per-(peer, object) caches on both ends of
-    /// every link diff each kObjReply/kDiff payload against the last
-    /// version the receiver holds and ship only the changed runs (frame.h
-    /// kDelta). On by default; off reproduces the full-frame v6 wire
-    /// behavior for ablation.
-    bool wire_delta = true;
     /// Shared-memory transport: processes that negotiate the same host
     /// identity in the Hello handshake move all data frames onto per-pair
     /// shm rings (netio/shm.h) and keep only control/heartbeats on TCP.
@@ -235,9 +232,9 @@ struct VmOptions {
   };
   SocketsConfig sockets;
   /// Latency histograms (fault-in RTT, mailbox dwell, socket-write syscall,
-  /// migration→first-access). On by default; off removes every per-packet
-  /// clock read the instrumentation costs (throughput baselines).
-  bool histograms = true;
+  /// migration→first-access) are always recorded. A constant for the
+  /// benchmark's provenance block only, like SocketsConfig::wire_delta.
+  static constexpr bool histograms = true;
   /// Non-empty: write a Chrome trace-event / Perfetto JSON protocol trace
   /// here at teardown. On the sockets backend each rank writes
   /// `<path>.rank<R>` and the self-fork launcher (or the operator) merges
@@ -286,7 +283,7 @@ struct RunReport {
   std::uint64_t migrations = 0;
   /// Policy consultations whose verdict was "stay put"; migrations +
   /// mig_rejections equals the total decision count (ledger size +
-  /// evictions) when auditing is on.
+  /// evictions).
   std::uint64_t mig_rejections = 0;
   std::uint64_t redirect_hops = 0;
   std::uint64_t diffs_created = 0;

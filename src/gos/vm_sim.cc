@@ -81,8 +81,7 @@ class SimBackend final : public VmBackend {
 
   void Run(ThreadBody main) override {
     Spawn(options_.start_node, std::move(main), "main");
-    if (options_.poll_interval_s > 0 && options_.dsm.audit)
-      ScheduleSampleTick();
+    if (options_.poll_interval_s > 0) ScheduleSampleTick();
     cluster_.kernel().Run();
   }
 

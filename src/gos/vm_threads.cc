@@ -45,7 +45,6 @@ runtime::RuntimeOptions ToRuntimeOptions(const VmOptions& o,
   r.model = o.model;
   r.inject_latency_scale = o.inject_latency ? o.inject_scale : 0.0;
   r.trace = trace;
-  r.measure_dwell = o.histograms;
   return r;
 }
 
@@ -56,7 +55,7 @@ class ThreadsBackend final : public VmBackend {
     // Enabled before any dispatcher can record: the runtime's agents exist
     // but traffic only flows once an application thread starts.
     if (!options_.trace_out.empty()) trace_.Enable();
-    if (options_.poll_interval_s > 0 && options_.dsm.audit)
+    if (options_.poll_interval_s > 0)
       sampler_ = std::thread([this] { SamplerLoop(); });
   }
 

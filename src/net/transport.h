@@ -54,8 +54,8 @@ struct Packet {
   /// ignores it (virtual-time delivery is an event, not a deadline).
   sim::Time deliver_after = 0;
   /// Transport-clock time this packet entered a local mailbox, for the
-  /// enqueue→dispatch dwell histogram. 0 = not measured (measurement off,
-  /// or the simulated network — virtual-time dwell is a modeling artifact).
+  /// enqueue→dispatch dwell histogram. 0 = not measured (the simulated
+  /// network — virtual-time dwell is a modeling artifact).
   sim::Time enqueued_at = 0;
 };
 

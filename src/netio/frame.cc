@@ -46,13 +46,20 @@ bool Defensive(ByteSpan frame, FrameType expected, std::string* error,
 
 }  // namespace
 
+bool PeekVersion(ByteSpan frame, FrameType expected, std::uint32_t* version) {
+  FrameType type;
+  if (frame.size() < 5 || !PeekType(frame, &type) || type != expected)
+    return false;
+  *version = Reader(frame.subspan(1)).u32();
+  return true;
+}
+
 Bytes Encode(const HelloFrame& f) {
   Writer w = Begin(FrameType::kHello);
   w.u32(f.version);
   w.u32(f.node);
   w.u32(f.node_count);
   w.u32(f.ranks_per_proc);
-  w.u32(f.flags);
   w.u64(f.host_id);
   w.str(f.shm_name);
   return w.take();
@@ -64,7 +71,6 @@ bool TryDecode(ByteSpan frame, HelloFrame* out, std::string* error) {
     out->node = r.u32();
     out->node_count = r.u32();
     out->ranks_per_proc = r.u32();
-    out->flags = r.u32();
     out->host_id = r.u64();
     out->shm_name = r.str();
   });
@@ -74,7 +80,6 @@ Bytes Encode(const HelloAckFrame& f) {
   Writer w = Begin(FrameType::kHelloAck);
   w.u32(f.version);
   w.u32(f.node);
-  w.u32(f.flags);
   w.u64(f.host_id);
   w.str(f.shm_name);
   return w.take();
@@ -84,7 +89,6 @@ bool TryDecode(ByteSpan frame, HelloAckFrame* out, std::string* error) {
   return Defensive(frame, FrameType::kHelloAck, error, [&](Reader& r) {
     out->version = r.u32();
     out->node = r.u32();
-    out->flags = r.u32();
     out->host_id = r.u64();
     out->shm_name = r.str();
   });

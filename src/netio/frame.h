@@ -38,17 +38,13 @@ namespace hmdsm::netio {
 /// primary rank) and Hello carries ranks_per_proc so a mesh with
 /// inconsistent process shapes refuses to form. v6: Heartbeat/HeartbeatAck
 /// link-liveness frames exchanged per process pair on the reactor's timer.
-/// v7: wire delta encoding (Delta frames + feature negotiation via
-/// Hello/HelloAck flags) and shared-memory transport negotiation (segment
-/// name + host identity in the handshake); the recorder serialization also
-/// grew new event counters.
-constexpr std::uint32_t kProtocolVersion = 7;
-
-/// Hello/HelloAck feature flags. A feature is active on a link only when
-/// *both* ends advertise it, so mixed command lines degrade to the common
-/// denominator instead of desynchronizing.
-constexpr std::uint32_t kHelloFlagWireDelta = 1u << 0;
-constexpr std::uint32_t kHelloFlagShm = 1u << 1;
+/// v7: wire delta encoding (Delta frames) and shared-memory transport
+/// negotiation (segment name + host identity in the handshake); the
+/// recorder serialization also grew new event counters. v8: wire deltas
+/// are unconditional, so Hello/HelloAck drop the v7 feature-flags word —
+/// a link rides shm exactly when the peer names a segment and reports the
+/// same host.
+constexpr std::uint32_t kProtocolVersion = 8;
 
 /// Frames larger than this are rejected before allocation. Generous: the
 /// largest legitimate frame is an object reply for the biggest shared
@@ -94,8 +90,6 @@ struct HelloFrame {
   /// Ranks hosted per process; every process in a mesh must agree (the
   /// connection-per-process-pair topology is keyed on it).
   std::uint32_t ranks_per_proc = 1;
-  /// kHelloFlag* bits this process is willing to speak.
-  std::uint32_t flags = 0;
   /// Identity of the machine this process runs on (hostname + boot id
   /// hash); the shared-memory transport only forms between processes that
   /// report the same value.
@@ -108,7 +102,6 @@ struct HelloFrame {
 struct HelloAckFrame {
   std::uint32_t version = kProtocolVersion;
   net::NodeId node = 0;
-  std::uint32_t flags = 0;
   std::uint64_t host_id = 0;
   std::string shm_name;
 };
@@ -269,6 +262,12 @@ Bytes EncodeBatch(const std::vector<Bytes>& frames);
 /// inner frames, nested batches, and trailing garbage.
 bool TryDecodeBatch(const Buf& frame, std::vector<Buf>* out,
                     std::string* error);
+
+/// Reads the version word at the head of a Hello or HelloAck of type
+/// `expected` without decoding the rest. A peer speaking another version
+/// may lay out the remaining fields differently, so the handshake checks
+/// this first and refuses an old peer by version, not as a malformed frame.
+bool PeekVersion(ByteSpan frame, FrameType expected, std::uint32_t* version);
 
 // Defensive decoders: false + diagnostic on any malformed input.
 bool TryDecode(ByteSpan frame, HelloFrame* out, std::string* error);

@@ -13,6 +13,8 @@
 #include <cstring>
 #include <functional>
 
+#include "src/netio/frame.h"
+
 namespace hmdsm::netio {
 
 namespace {
@@ -37,7 +39,7 @@ void FutexWake(std::atomic<std::uint32_t>* addr) {
 }
 
 // Segment layout: [SegHdr pad to 64][RingHdr x group_count, each 128]
-// [ring data x group_count, each ring_bytes]. Ring g is written by
+// [ring data x group_count, each kShmRingBytes]. Ring g is written by
 // process-group g and read by the segment owner.
 struct SegHdr {
   std::uint32_t magic;
@@ -53,7 +55,7 @@ struct SegHdr {
 
 struct alignas(kCacheLine) RingHdr {
   // Monotonic byte cursors (never wrap the integer; positions are mod
-  // ring_bytes). head is owned by the reader, tail by the writer; each
+  // kShmRingBytes). head is owned by the reader, tail by the writer; each
   // publishes with release and reads the other with acquire — that pair is
   // the happens-before edge covering the plain-byte ring copies.
   std::atomic<std::uint64_t> head;
@@ -70,8 +72,8 @@ static_assert(sizeof(RingHdr) == 3 * kCacheLine, "RingHdr padding drifted");
 constexpr std::size_t kSegHdrBytes =
     (sizeof(SegHdr) + kCacheLine - 1) / kCacheLine * kCacheLine;
 
-std::size_t SegmentBytes(std::size_t groups, std::size_t ring_bytes) {
-  return kSegHdrBytes + groups * sizeof(RingHdr) + groups * ring_bytes;
+std::size_t SegmentBytes(std::size_t groups) {
+  return kSegHdrBytes + groups * sizeof(RingHdr) + groups * kShmRingBytes;
 }
 
 SegHdr* Hdr(void* base) { return static_cast<SegHdr*>(base); }
@@ -81,26 +83,23 @@ RingHdr* Ring(void* base, std::size_t g) {
                                     g * sizeof(RingHdr));
 }
 
-Byte* RingData(void* base, std::size_t groups, std::size_t ring_bytes,
-               std::size_t g) {
+Byte* RingData(void* base, std::size_t groups, std::size_t g) {
   return reinterpret_cast<Byte*>(static_cast<char*>(base) + kSegHdrBytes +
-                                 groups * sizeof(RingHdr) + g * ring_bytes);
+                                 groups * sizeof(RingHdr) + g * kShmRingBytes);
 }
 
 // Copy `n` bytes out of the ring at stream position `pos`, handling the
 // wraparound split. The mirror image of CopyIn.
-void CopyOut(const Byte* ring, std::size_t ring_bytes, std::uint64_t pos,
-             Byte* out, std::size_t n) {
-  const std::size_t at = static_cast<std::size_t>(pos % ring_bytes);
-  const std::size_t first = std::min(n, ring_bytes - at);
+void CopyOut(const Byte* ring, std::uint64_t pos, Byte* out, std::size_t n) {
+  const std::size_t at = static_cast<std::size_t>(pos % kShmRingBytes);
+  const std::size_t first = std::min(n, kShmRingBytes - at);
   std::memcpy(out, ring + at, first);
   if (n > first) std::memcpy(out + first, ring, n - first);
 }
 
-void CopyIn(Byte* ring, std::size_t ring_bytes, std::uint64_t pos,
-            const Byte* in, std::size_t n) {
-  const std::size_t at = static_cast<std::size_t>(pos % ring_bytes);
-  const std::size_t first = std::min(n, ring_bytes - at);
+void CopyIn(Byte* ring, std::uint64_t pos, const Byte* in, std::size_t n) {
+  const std::size_t at = static_cast<std::size_t>(pos % kShmRingBytes);
+  const std::size_t first = std::min(n, kShmRingBytes - at);
   std::memcpy(ring + at, in, first);
   if (n > first) std::memcpy(ring, in + first, n - first);
 }
@@ -136,8 +135,7 @@ std::uint64_t ShmTransport::HostIdentity() {
 
 std::unique_ptr<ShmTransport> ShmTransport::Create(
     const ShmTransportOptions& options, std::string* error) {
-  const std::size_t total =
-      SegmentBytes(options.group_count, options.ring_bytes);
+  const std::size_t total = SegmentBytes(options.group_count);
   // Name must be unique per process: pid + group + a clock nonce guards
   // against pid reuse racing a leaked segment from a crashed run.
   timespec now;
@@ -173,7 +171,7 @@ std::unique_ptr<ShmTransport> ShmTransport::Create(
   // either no magic (rejects) or a fully initialized header.
   SegHdr* hdr = Hdr(base);
   hdr->ring_count = static_cast<std::uint32_t>(options.group_count);
-  hdr->ring_bytes = options.ring_bytes;
+  hdr->ring_bytes = kShmRingBytes;
   std::atomic_thread_fence(std::memory_order_release);
   hdr->magic = kSegMagic;
   return std::unique_ptr<ShmTransport>(
@@ -204,8 +202,7 @@ bool ShmTransport::AttachPeer(std::size_t peer_group, const std::string& name,
   if (name.size() < 2 || name.size() > 120 || name[0] != '/' ||
       name.find('/', 1) != std::string::npos)
     return fail("attach: malformed segment name");
-  const std::size_t total =
-      SegmentBytes(options_.group_count, options_.ring_bytes);
+  const std::size_t total = SegmentBytes(options_.group_count);
   const int fd = shm_open(name.c_str(), O_RDWR, 0);
   if (fd < 0) return fail(std::string("shm_open: ") + std::strerror(errno));
   struct stat st;
@@ -226,7 +223,7 @@ bool ShmTransport::AttachPeer(std::size_t peer_group, const std::string& name,
           std::memory_order_acquire);
   if (magic != kSegMagic ||
       hdr->ring_count != options_.group_count ||
-      hdr->ring_bytes != options_.ring_bytes) {
+      hdr->ring_bytes != kShmRingBytes) {
     Unmap(base, total, fd);
     return fail("attach: geometry mismatch");
   }
@@ -245,8 +242,7 @@ bool ShmTransport::WriteFrame(std::size_t peer_group, ByteSpan frame) {
   const Mapping& seg = peer_segs_[peer_group];
   SegHdr* hdr = Hdr(seg.base);
   RingHdr* rh = Ring(seg.base, options_.self_group);
-  Byte* data = RingData(seg.base, options_.group_count, options_.ring_bytes,
-                        options_.self_group);
+  Byte* data = RingData(seg.base, options_.group_count, options_.self_group);
   Byte len4[4];
   const std::uint32_t len = static_cast<std::uint32_t>(frame.size());
   len4[0] = static_cast<Byte>(len & 0xff);
@@ -261,7 +257,7 @@ bool ShmTransport::WriteFrame(std::size_t peer_group, ByteSpan frame) {
     while (n > 0) {
       std::uint64_t head = rh->head.load(std::memory_order_acquire);
       std::size_t space =
-          options_.ring_bytes - static_cast<std::size_t>(tail - head);
+          kShmRingBytes - static_cast<std::size_t>(tail - head);
       if (space == 0) {
         if (stopping_.load(std::memory_order_acquire) ||
             hdr->closed.load(std::memory_order_acquire) != 0)
@@ -274,13 +270,13 @@ bool ShmTransport::WriteFrame(std::size_t peer_group, ByteSpan frame) {
         const std::uint32_t db = rh->space_db.load(std::memory_order_acquire);
         rh->writer_waiting.store(1, std::memory_order_release);
         head = rh->head.load(std::memory_order_acquire);
-        if (options_.ring_bytes - static_cast<std::size_t>(tail - head) == 0)
+        if (kShmRingBytes - static_cast<std::size_t>(tail - head) == 0)
           FutexWait(&rh->space_db, db, 10);
         rh->writer_waiting.store(0, std::memory_order_relaxed);
         continue;
       }
       const std::size_t take = std::min(space, n);
-      CopyIn(data, options_.ring_bytes, tail, p, take);
+      CopyIn(data, tail, p, take);
       tail += take;
       p += take;
       n -= take;
@@ -317,8 +313,7 @@ bool ShmTransport::DrainRing(std::size_t g) {
   RingHdr* rh = Ring(own_.base, g);
   if (rh->attached.load(std::memory_order_acquire) == 0) return false;
   if (ready_ && !ready_(g)) return false;  // bytes wait in the ring
-  const Byte* data = RingData(own_.base, options_.group_count,
-                              options_.ring_bytes, g);
+  const Byte* data = RingData(own_.base, options_.group_count, g);
   RxState& st = rx_[g];
   std::uint64_t head = rh->head.load(std::memory_order_relaxed);
   const std::uint64_t tail = rh->tail.load(std::memory_order_acquire);
@@ -330,7 +325,7 @@ bool ShmTransport::DrainRing(std::size_t g) {
       // drains and the wrap point).
       const std::size_t take =
           std::min<std::uint64_t>(4 - st.len_got, avail);
-      CopyOut(data, options_.ring_bytes, head, st.len + st.len_got, take);
+      CopyOut(data, head, st.len + st.len_got, take);
       head += take;
       avail -= take;
       st.len_got += take;
@@ -339,7 +334,7 @@ bool ShmTransport::DrainRing(std::size_t g) {
                                 static_cast<std::uint32_t>(st.len[1]) << 8 |
                                 static_cast<std::uint32_t>(st.len[2]) << 16 |
                                 static_cast<std::uint32_t>(st.len[3]) << 24;
-      if (len == 0 || len > options_.max_frame_bytes) {
+      if (len == 0 || len > kMaxFrameBytes) {
         rh->head.store(head, std::memory_order_release);
         if (on_fatal_)
           on_fatal_("shm ring from group " + std::to_string(g) +
@@ -351,7 +346,7 @@ bool ShmTransport::DrainRing(std::size_t g) {
     } else {
       const std::size_t take =
           std::min<std::uint64_t>(st.box->size() - st.got, avail);
-      CopyOut(data, options_.ring_bytes, head, st.box->data() + st.got, take);
+      CopyOut(data, head, st.box->data() + st.got, take);
       head += take;
       avail -= take;
       st.got += take;

@@ -48,15 +48,15 @@
 
 namespace hmdsm::netio {
 
+/// Capacity of each inbound ring. A full ring blocks the writer briefly
+/// (the reader drains continuously), it never drops or reorders. Frames
+/// above kMaxFrameBytes are a protocol violation, the same bound the TCP
+/// reader enforces.
+constexpr std::size_t kShmRingBytes = 256 * 1024;
+
 struct ShmTransportOptions {
   std::size_t group_count = 0;  // processes in the mesh
   std::size_t self_group = 0;   // this process's index
-  /// Capacity of each inbound ring. A full ring blocks the writer briefly
-  /// (the reader drains continuously), it never drops or reorders.
-  std::size_t ring_bytes = 256 * 1024;
-  /// Frames above this are a protocol violation (same bound the TCP reader
-  /// enforces).
-  std::uint32_t max_frame_bytes = 64u << 20;
 };
 
 class ShmTransport {

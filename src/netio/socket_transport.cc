@@ -28,10 +28,11 @@ constexpr std::uint64_t kWakeTag = ~std::uint64_t{0};
 /// epoll user-data tag for a reactor thread's heartbeat timerfd.
 constexpr std::uint64_t kTimerTag = ~std::uint64_t{0} - 1;
 
-/// Upper bound on iovecs per writev: a full batch (max_batch_frames = 64)
-/// is 1 header segment + 2 per frame = 129 segments, comfortably under
-/// this (and under IOV_MAX); larger images flush across several calls.
+/// Upper bound on iovecs per sendmsg: a full batch is 1 header segment + 2
+/// per frame, comfortably under this (and under IOV_MAX); larger images
+/// flush across several calls.
 constexpr int kMaxIovPerWrite = 192;
+static_assert(1 + 2 * kMaxBatchFrames <= kMaxIovPerWrite);
 
 Bytes LenPrefix(std::size_t n) {
   Bytes b(4);
@@ -110,13 +111,11 @@ void SocketTransport::Start() {
     ShmTransportOptions so;
     so.group_count = group_count_;
     so.self_group = group_;
-    so.ring_bytes = options_.shm_ring_bytes;
-    so.max_frame_bytes = options_.max_frame_bytes;
     std::string error;
     shm_ = ShmTransport::Create(so, &error);
     if (shm_ == nullptr) {
       // Setup failure is a degradation, not an error: every link simply
-      // stays on TCP (and the handshake never advertises the flag).
+      // stays on TCP (and the handshake names no segment).
       std::fprintf(stderr, "hmdsm sockets: rank %u: shm disabled: %s\n",
                    options_.rank, error.c_str());
     } else {
@@ -132,9 +131,8 @@ void SocketTransport::Start() {
           },
           [this](const std::string& why) { Die(why); }, &rx_pool_,
           // Drain gate: ring bytes wait until this link's handshake
-          // settled its receive state (delta_on et al.) — a peer may
-          // attach and write the instant it sees our HelloAck, before
-          // our RegisterPeer has run.
+          // settled its receive state — a peer may attach and write the
+          // instant it sees our HelloAck, before our RegisterPeer has run.
           [this](std::size_t src_group) {
             return peers_[src_group].registered.load(
                 std::memory_order_acquire);
@@ -207,8 +205,7 @@ void SocketTransport::ConnectorMain() {
   for (std::size_t g = 0; g < group_; ++g) {
     const net::NodeId primary = PrimaryOf(g);
     std::string error;
-    Fd fd = DialWithRetry(options_.peers[primary], options_.connect_timeout_ms,
-                          &error);
+    Fd fd = DialWithRetry(options_.peers[primary], kConnectTimeoutMs, &error);
     if (!fd.valid()) {
       FailConnect("dial process " + std::to_string(g) + " (rank " +
                   std::to_string(primary) + "): " + error);
@@ -219,7 +216,6 @@ void SocketTransport::ConnectorMain() {
     hello.node = rank;
     hello.node_count = n;
     hello.ranks_per_proc = k;
-    hello.flags = HelloFlags();
     hello.host_id = host_id_;
     if (shm_ != nullptr) hello.shm_name = shm_->segment_name();
     if (!WriteFrame(fd.get(), Encode(hello), &error)) {
@@ -227,31 +223,33 @@ void SocketTransport::ConnectorMain() {
       return;
     }
     Bytes reply;
-    SetRecvTimeout(fd.get(), options_.connect_timeout_ms);
-    if (!ReadFrame(fd.get(), &reply, options_.max_frame_bytes, &error)) {
+    SetRecvTimeout(fd.get(), kConnectTimeoutMs);
+    if (!ReadFrame(fd.get(), &reply, kMaxFrameBytes, &error)) {
       FailConnect("hello-ack from process " + std::to_string(g) + ": " +
                   (error.empty() ? "connection closed" : error));
       return;
     }
     SetRecvTimeout(fd.get(), 0);
+    std::uint32_t version = 0;
+    if (PeekVersion(ByteSpan(reply), FrameType::kHelloAck, &version) &&
+        version != kProtocolVersion) {
+      FailConnect("process " + std::to_string(g) +
+                  " speaks protocol version " + std::to_string(version) +
+                  ", expected " + std::to_string(kProtocolVersion));
+      return;
+    }
     HelloAckFrame ack;
-    if (!TryDecode(ByteSpan(reply), &ack, &error) ||
-        ack.version != kProtocolVersion || ack.node != primary) {
+    if (!TryDecode(ByteSpan(reply), &ack, &error) || ack.node != primary) {
       FailConnect("bad hello-ack from process " + std::to_string(g) + ": " +
                   error);
       return;
     }
-    // Capability negotiation: the AND of both ends' advertisements. Shm
-    // additionally requires the same host identity — equal flags from a
-    // different machine must not be trusted with an mmap.
-    const bool delta_on =
-        options_.wire_delta && (ack.flags & kHelloFlagWireDelta) != 0;
+    // Shm forms only when both ends named a segment and report the same
+    // host identity — a segment name from another machine must not be
+    // trusted with an mmap.
     std::string peer_shm;
-    if (shm_ != nullptr && (ack.flags & kHelloFlagShm) != 0 &&
-        ack.host_id == host_id_ && !ack.shm_name.empty()) {
-      peer_shm = ack.shm_name;
-    }
-    RegisterPeer(g, std::move(fd), delta_on, peer_shm);
+    if (shm_ != nullptr && ack.host_id == host_id_) peer_shm = ack.shm_name;
+    RegisterPeer(g, std::move(fd), peer_shm);
   }
   for (std::size_t remaining = group_count_ - 1 - group_; remaining > 0;
        --remaining) {
@@ -263,23 +261,25 @@ void SocketTransport::ConnectorMain() {
       return;
     }
     Bytes hello_bytes;
-    SetRecvTimeout(fd.get(), options_.connect_timeout_ms);
-    if (!ReadFrame(fd.get(), &hello_bytes, options_.max_frame_bytes,
-                   &error)) {
+    SetRecvTimeout(fd.get(), kConnectTimeoutMs);
+    if (!ReadFrame(fd.get(), &hello_bytes, kMaxFrameBytes, &error)) {
       FailConnect("hello read: " +
                   (error.empty() ? "connection closed" : error));
       return;
     }
     SetRecvTimeout(fd.get(), 0);
+    // The version goes first: another version may lay out the rest of
+    // the Hello differently, and must be refused by name.
+    std::uint32_t version = 0;
+    if (PeekVersion(ByteSpan(hello_bytes), FrameType::kHello, &version) &&
+        version != kProtocolVersion) {
+      FailConnect("peer speaks protocol version " + std::to_string(version) +
+                  ", expected " + std::to_string(kProtocolVersion));
+      return;
+    }
     HelloFrame hello;
     if (!TryDecode(ByteSpan(hello_bytes), &hello, &error)) {
       FailConnect("bad hello: " + error);
-      return;
-    }
-    if (hello.version != kProtocolVersion) {
-      FailConnect("peer speaks protocol version " +
-                  std::to_string(hello.version) + ", expected " +
-                  std::to_string(kProtocolVersion));
       return;
     }
     if (hello.node_count != n || hello.ranks_per_proc != k) {
@@ -304,44 +304,28 @@ void SocketTransport::ConnectorMain() {
         return;
       }
     }
-    const bool delta_on =
-        options_.wire_delta && (hello.flags & kHelloFlagWireDelta) != 0;
     std::string peer_shm;
-    if (shm_ != nullptr && (hello.flags & kHelloFlagShm) != 0 &&
-        hello.host_id == host_id_ && !hello.shm_name.empty()) {
+    if (shm_ != nullptr && hello.host_id == host_id_)
       peer_shm = hello.shm_name;
-    }
     HelloAckFrame ack;
     ack.version = kProtocolVersion;
     ack.node = rank;
-    ack.flags = HelloFlags();
     ack.host_id = host_id_;
     if (shm_ != nullptr) ack.shm_name = shm_->segment_name();
     if (!WriteFrame(fd.get(), Encode(ack), &error)) {
       FailConnect("hello-ack write: " + error);
       return;
     }
-    RegisterPeer(g, std::move(fd), delta_on, peer_shm);
+    RegisterPeer(g, std::move(fd), peer_shm);
   }
 }
 
-std::uint32_t SocketTransport::HelloFlags() const {
-  std::uint32_t flags = 0;
-  if (options_.wire_delta) flags |= kHelloFlagWireDelta;
-  if (shm_ != nullptr) flags |= kHelloFlagShm;
-  return flags;
-}
-
-void SocketTransport::RegisterPeer(std::size_t group, Fd fd, bool delta_on,
+void SocketTransport::RegisterPeer(std::size_t group, Fd fd,
                                    const std::string& peer_shm_name) {
   Peer& peer = peers_[group];
   HMDSM_CHECK_MSG(SetNonBlocking(fd.get()),
                   "cannot make peer socket nonblocking");
   peer.fd = std::move(fd);
-  // Link capabilities settle before any thread can process this link's
-  // frames: the epoll ADD below publishes them to the reactor thread, the
-  // `registered` flip publishes them to the shm reader's drain gate.
-  peer.delta_on.store(delta_on, std::memory_order_release);
   if (shm_ != nullptr && !peer_shm_name.empty()) {
     std::string error;
     if (shm_->AttachPeer(group, peer_shm_name, &error)) {
@@ -408,7 +392,7 @@ void SocketTransport::AwaitConnected() {
   // fork storms, loaded CI) grows with the mesh, and a fixed +5s window
   // that was fine at 4 ranks starves at 128.
   const auto window = std::chrono::milliseconds(
-      options_.connect_timeout_ms + 5000 +
+      kConnectTimeoutMs + 5000 +
       100 * static_cast<int>(options_.peers.size()));
   std::unique_lock lock(mesh_mu_);
   const bool done = mesh_cv_.wait_for(lock, window, [&] {
@@ -582,7 +566,7 @@ void SocketTransport::HandleReadable(IoThread& t, std::size_t group) {
       std::uint32_t len = 0;
       for (int i = 0; i < 4; ++i)
         len |= static_cast<std::uint32_t>(peer.head[i]) << (8 * i);
-      if (len == 0 || len > options_.max_frame_bytes) {
+      if (len == 0 || len > kMaxFrameBytes) {
         Die("frame length " + std::to_string(len) + " from process " +
             std::to_string(group));
       }
@@ -655,7 +639,7 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
     enqueued_.fetch_add(1, std::memory_order_acq_rel);
     net::Packet packet{data.src, data.dst, data.cat,
                        std::move(data.payload)};
-    if (options_.measure_latency) packet.enqueued_at = Now();
+    packet.enqueued_at = Now();
     mailboxes_[data.dst - options_.rank].Push(std::move(packet));
   } else if (type == FrameType::kDelta) {
     HandleDelta(group, frame);
@@ -719,10 +703,6 @@ void SocketTransport::HandleDelta(std::size_t group, const Buf& frame) {
         std::to_string(df.dst) + ")");
   }
   Peer& peer = peers_[group];
-  if (!peer.delta_on.load(std::memory_order_acquire)) {
-    Die("delta frame from process " + std::to_string(group) +
-        " but the link did not negotiate wire deltas");
-  }
   // Rebuild the full payload against the mirrored base. Any mismatch here
   // is a protocol bug — the lockstep invariant (delta.h) guarantees the
   // sender only deltas against versions it knows we hold.
@@ -745,12 +725,11 @@ void SocketTransport::HandleDelta(std::size_t group, const Buf& frame) {
   wire_received_.fetch_add(1, std::memory_order_acq_rel);
   enqueued_.fetch_add(1, std::memory_order_acq_rel);
   net::Packet packet{df.src, df.dst, df.cat, std::move(payload)};
-  if (options_.measure_latency) packet.enqueued_at = Now();
+  packet.enqueued_at = Now();
   mailboxes_[df.dst - options_.rank].Push(std::move(packet));
 }
 
 void SocketTransport::NoteRxData(Peer& peer, const DataFrame& data) {
-  if (!peer.delta_on.load(std::memory_order_acquire)) return;
   proto::Kind kind;
   std::uint64_t obj;
   if (!proto::PeekKindObject(data.payload.span(), &kind, &obj)) return;
@@ -780,17 +759,16 @@ void SocketTransport::OnTimer(IoThread& t) {
   }
 }
 
-void SocketTransport::MarkPeerDown(IoThread& t, std::size_t group,
-                                   const std::string& why) {
-  Peer& peer = peers_[group];
-  if (peer.dead) return;
+void SocketTransport::RetireLink(IoThread& t, Peer& peer) {
   peer.dead = true;
-  peer.down.store(true, std::memory_order_release);
   peer.read_open = false;
   peer.out_active = false;
   peer.out_segs.clear();
   {
+    // `down` flips under the link lock, which every enqueue checks it
+    // under: no frame can land in the queue after it is cleared here.
     std::lock_guard lock(peer.mu);
+    peer.down.store(true, std::memory_order_release);
     peer.queue.clear();
     peer.queue_bytes = 0;
     // A dead link sends nothing more on any medium, and a resurrected one
@@ -803,6 +781,13 @@ void SocketTransport::MarkPeerDown(IoThread& t, std::size_t group,
     peer.in_epoll = false;
   }
   peer.armed = 0;
+}
+
+void SocketTransport::MarkPeerDown(IoThread& t, std::size_t group,
+                                   const std::string& why) {
+  Peer& peer = peers_[group];
+  if (peer.dead) return;
+  RetireLink(t, peer);
   const net::NodeId primary = PrimaryOf(group);
   std::fprintf(stderr,
                "hmdsm sockets: rank %u: peer process %zu (primary rank %u) "
@@ -824,13 +809,10 @@ bool SocketTransport::BuildNextWrite(Peer& peer) {
     // last write was in flight, bounded by the batch budgets. A queue
     // holding a single frame (the idle/latency-sensitive case) yields a
     // plain immediate write; only a genuine backlog is batched.
-    const std::size_t max_frames =
-        options_.batch_frames ? options_.max_batch_frames : 1;
     std::size_t batch_bytes = 0;
-    while (!peer.queue.empty() && frames.size() < max_frames) {
+    while (!peer.queue.empty() && frames.size() < kMaxBatchFrames) {
       const std::size_t next = peer.queue.front().size() + 4;
-      if (!frames.empty() && batch_bytes + next > options_.max_batch_bytes)
-        break;
+      if (!frames.empty() && batch_bytes + next > kMaxBatchBytes) break;
       batch_bytes += next;
       peer.queue_bytes -= peer.queue.front().size();
       frames.push_back(std::move(peer.queue.front()));
@@ -885,8 +867,13 @@ void SocketTransport::FlushPeer(IoThread& t, std::size_t group) {
       off = 0;
       ++cnt;
     }
-    const sim::Time write_start = options_.measure_latency ? Now() : 0;
-    const ssize_t w = ::writev(peer.fd.get(), iov, cnt);
+    // sendmsg rather than writev: MSG_NOSIGNAL turns a write to a departed
+    // peer into EPIPE (handled below) instead of a process-killing SIGPIPE.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(cnt);
+    const sim::Time write_start = Now();
+    const ssize_t w = ::sendmsg(peer.fd.get(), &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -898,24 +885,14 @@ void SocketTransport::FlushPeer(IoThread& t, std::size_t group) {
         // The peer tore down first; its process already acknowledged the
         // end of the run, so dropping the rest of this queue loses
         // nothing anyone waits for.
-        peer.dead = true;
-        peer.out_active = false;
-        peer.out_segs.clear();
-        {
-          std::lock_guard lock(peer.mu);
-          peer.queue.clear();
-        }
-        if (peer.in_epoll) {
-          ::epoll_ctl(t.epoll.get(), EPOLL_CTL_DEL, peer.fd.get(), nullptr);
-          peer.in_epoll = false;
-        }
+        RetireLink(t, peer);
         return;
       }
       MarkPeerDown(t, group,
                    std::string("write error: ") + std::strerror(errno));
       return;
     }
-    if (options_.measure_latency) {
+    {
       const sim::Time took = Now() - write_start;
       std::lock_guard lock(write_lat_mu_);
       write_latency_.Record(static_cast<std::uint64_t>(took > 0 ? took : 0));
@@ -972,15 +949,15 @@ void SocketTransport::EnqueueFrame(net::NodeId dst, Bytes frame) {
   const std::size_t g = GroupOf(dst);
   HMDSM_CHECK(g != group_);
   Peer& peer = peers_[g];
-  if (peer.down.load(std::memory_order_acquire)) {
-    // The link already failed mid-run: queueing would grow forever and
-    // abort here would kill the survivor — drop, count, and let the
-    // coordinator's liveness plane do the reporting.
-    peer.frames_dropped.fetch_add(1, std::memory_order_acq_rel);
-    return;
-  }
   {
     std::lock_guard lock(peer.mu);
+    if (peer.down.load(std::memory_order_acquire)) {
+      // The link is retired: queueing would grow forever and abort here
+      // would kill the survivor — drop, count, and let the coordinator's
+      // liveness plane do the reporting.
+      peer.frames_dropped.fetch_add(1, std::memory_order_acq_rel);
+      return;
+    }
     HMDSM_CHECK_MSG(!peer.closed, "send to rank " << dst << " after Stop()");
     peer.queue_bytes += frame.size();
     peer.queue.push_back(std::move(frame));
@@ -995,13 +972,9 @@ bool SocketTransport::TryEnqueueFrame(net::NodeId dst, Bytes frame) {
   const std::size_t g = GroupOf(dst);
   if (g == group_) return false;
   Peer& peer = peers_[g];
-  if (peer.down.load(std::memory_order_acquire)) {
-    peer.frames_dropped.fetch_add(1, std::memory_order_acq_rel);
-    return false;
-  }
   {
     std::lock_guard lock(peer.mu);
-    if (peer.closed) {
+    if (peer.down.load(std::memory_order_acquire) || peer.closed) {
       peer.frames_dropped.fetch_add(1, std::memory_order_acq_rel);
       return false;
     }
@@ -1018,8 +991,6 @@ Bytes SocketTransport::EncodeDataLocked(Peer& peer, DataFrame data) {
   // Called under peer.mu: the cache op and the frame's entry into the
   // link's FIFO (queue push or ring write) are one atomic step, which is
   // what keeps both ends' caches in lockstep (delta.h).
-  if (!peer.delta_on.load(std::memory_order_acquire))
-    return Encode(std::move(data));
   proto::Kind kind;
   std::uint64_t obj;
   if (!proto::PeekKindObject(data.payload.span(), &kind, &obj))
@@ -1064,13 +1035,13 @@ void SocketTransport::SendData(net::NodeId dst, DataFrame data) {
   const std::size_t g = GroupOf(dst);
   HMDSM_CHECK(g != group_);
   Peer& peer = peers_[g];
-  if (peer.down.load(std::memory_order_acquire)) {
-    peer.frames_dropped.fetch_add(1, std::memory_order_acq_rel);
-    return;
-  }
   bool via_shm = false;
   {
     std::lock_guard lock(peer.mu);
+    if (peer.down.load(std::memory_order_acquire)) {
+      peer.frames_dropped.fetch_add(1, std::memory_order_acq_rel);
+      return;
+    }
     HMDSM_CHECK_MSG(!peer.closed, "send to rank " << dst << " after Stop()");
     Bytes frame = EncodeDataLocked(peer, std::move(data));
     if (peer.shm_tx) {
@@ -1130,7 +1101,7 @@ void SocketTransport::Send(net::NodeId src, net::NodeId dst,
     // transports.
     enqueued_.fetch_add(1, std::memory_order_acq_rel);
     net::Packet packet{src, dst, cat, std::move(payload)};
-    if (options_.measure_latency) packet.enqueued_at = Now();
+    packet.enqueued_at = Now();
     mailboxes_[dst - options_.rank].Push(std::move(packet));
     return;
   }

@@ -16,7 +16,7 @@
 // round-robin; all sockets are nonblocking. Reads run a per-peer state
 // machine (4-byte length header, then the exact-size frame buffer — the
 // frame is decoded zero-copy as a util::Buf). Writes drain the per-peer
-// frame queue through writev: a backlog is coalesced into one Batch frame
+// frame queue through sendmsg: a backlog is coalesced into one Batch frame
 // whose header and per-frame length prefixes are emitted as scatter
 // segments around the already-encoded frames, so batching never copies a
 // payload. A partial write parks a cursor and arms EPOLLOUT; the write
@@ -35,7 +35,7 @@
 //   * Adaptive batching: a reactor flush that finds a single queued frame
 //     writes it immediately (an idle link adds no latency); a backlog —
 //     senders outrunning the wire — is coalesced into one Batch image per
-//     writev up to a size/count budget. Batching preserves queue order
+//     write up to a size/count budget. Batching preserves queue order
 //     exactly, so FIFO survives.
 //   * Received frames are decoded defensively (peer input is untrusted)
 //     and data packets are pushed into the destination rank's mailbox —
@@ -61,9 +61,9 @@
 // conservation law over *all* inter-process data traffic regardless of
 // which medium carried it.
 //
-// Hot-path extensions (protocol v7, both negotiated per link at handshake):
+// Hot-path extensions (protocol v8):
 //
-//   * Wire deltas — each link keeps a per-(rank, object) cache of the last
+//   * Wire deltas — every link keeps a per-(rank, object) cache of the last
 //     transmitted payload on both ends (netio/delta.h has the lockstep
 //     argument). An ObjReply or DiffMsg whose previous version the receiver
 //     still holds goes out as a kDelta frame carrying only the dsm::Diff
@@ -71,8 +71,9 @@
 //     which is also what re-primes the cache. MigrateReply erases the
 //     object's entry on both ends.
 //   * Shared-memory rings — when two processes share a host (identity hash
-//     exchanged in the Hello), data frames skip TCP and travel a per-
-//     direction SPSC ring in the receiver's shm segment (netio/shm.h).
+//     exchanged in the Hello) and both name a shm segment there, data
+//     frames skip TCP and travel a per-direction SPSC ring in the
+//     receiver's shm segment (netio/shm.h).
 //     Control frames and heartbeats stay on TCP: the liveness plane keeps
 //     measuring the real socket, and the coordinator planes are safe off
 //     the data path because quiescence is monotone-counter-based (not
@@ -125,46 +126,32 @@ struct SocketTransportOptions {
   /// ephemeral ports in the parent so children cannot collide); -1 binds
   /// peers[rank] instead.
   int listen_fd = -1;
-  /// How long dialers retry while the mesh comes up.
-  int connect_timeout_ms = 30000;
-  /// Frames above this are a protocol violation (checked pre-allocation).
-  std::uint32_t max_frame_bytes = kMaxFrameBytes;
-  /// Adaptive frame batching: a reactor flush that finds more than one
-  /// frame queued coalesces up to the budgets below into one Batch image —
-  /// one wire write — and flushes immediately (no batching, no added
-  /// latency) whenever the queue drains to a single frame. Off: one write
-  /// per frame, the v1 behavior.
-  bool batch_frames = true;
-  std::size_t max_batch_frames = 64;
-  std::size_t max_batch_bytes = 64 * 1024;
-  /// Latency histograms: stamp packets entering the local mailboxes
-  /// (dwell) and time each wire writev(2) (syscall latency). The cost is
-  /// one clock read per packet / two per write; off leaves the hot path
-  /// untouched.
-  bool measure_latency = true;
   /// Link-liveness heartbeat period. Each reactor thread arms a periodic
   /// timerfd and probes every peer process it owns with a Heartbeat frame;
   /// the ack feeds that link's RTT histogram and last-heard clock. 0
   /// disables the plane entirely (no timerfd, no probe traffic).
   std::size_t heartbeat_interval_ms = 250;
-  /// v7 wire deltas: diff-encode eligible data payloads against the last
-  /// version the receiver holds (see the file comment). Effective on a link
-  /// only when both ends advertise it.
-  bool wire_delta = true;
   /// Shared-memory rings for co-located processes. Effective on a link only
-  /// when both ends advertise it and report the same host identity;
-  /// degrades to TCP on any setup failure.
+  /// when both ends name a segment in the handshake and report the same
+  /// host identity; degrades to TCP on any setup failure.
   bool shm = true;
-  /// Capacity of each per-direction shm ring.
-  std::size_t shm_ring_bytes = 256 * 1024;
 };
+
+/// How long dialers retry while the mesh comes up.
+constexpr int kConnectTimeoutMs = 30000;
+/// Adaptive frame batching budget: a reactor flush that finds more than
+/// one frame queued coalesces up to this many frames and bytes into one
+/// Batch image — one wire write — and writes a lone frame immediately (no
+/// added latency).
+constexpr std::size_t kMaxBatchFrames = 64;
+constexpr std::size_t kMaxBatchBytes = 64 * 1024;
 
 /// One peer-process link's health counters, snapshotted for the health
 /// plane (poll log, /metrics). All numbers are since transport start.
 struct LinkStats {
   net::NodeId primary = 0;   // the peer process's primary rank
   bool connected = false;    // handshake completed
-  bool up = true;            // false once the link failed mid-run
+  bool up = true;            // false once the link is retired
   std::uint64_t hb_sent = 0;
   std::uint64_t hb_acked = 0;
   std::int64_t last_heard_ns = -1;  // transport clock; -1 = never
@@ -345,7 +332,8 @@ class SocketTransport final : public runtime::MailboxTransport {
     std::size_t io_thread = 0;
     std::atomic<bool> registered{false};    // epoll adoption complete
     std::atomic<bool> kick_pending{false};  // queued frames await a flush
-    /// Link failed mid-run: enqueues toward it are dropped, not queued.
+    /// Link retired (failed mid-run, or its peer left during shutdown):
+    /// enqueues toward it are dropped, not queued. Flipped under `mu`.
     std::atomic<bool> down{false};
     // Link telemetry (read by LinkSnapshots from arbitrary threads).
     std::atomic<std::int64_t> last_heard_ns{-1};
@@ -356,12 +344,6 @@ class SocketTransport final : public runtime::MailboxTransport {
     std::atomic<std::uint64_t> epollout_arms{0};
     std::atomic<std::uint64_t> kicks{0};
     std::atomic<std::uint64_t> frames_dropped{0};
-    /// Both ends of this link advertised wire deltas. Written once by the
-    /// connector before `registered` flips (and before the HelloAck leaves
-    /// on the accept side), so every thread that can observe a data frame
-    /// for this link already sees it set — reactor thread via the epoll
-    /// ADD, shm reader via the registered gate.
-    std::atomic<bool> delta_on{false};
     std::atomic<std::uint64_t> shm_msgs_sent{0};
     mutable std::mutex mu;    // guards queue + queue_bytes + closed + rtt
                               // + tx_cache + shm_tx
@@ -379,7 +361,7 @@ class SocketTransport final : public runtime::MailboxTransport {
     bool shm_tx = false;
     // ---- receive-path state, owned by this link's single rx thread (the
     // owning reactor thread, or the shm reader for ring frames — the kData/
-    // kDelta path is exactly one of the two by negotiation) ----
+    // kDelta path is exactly one of the two, fixed at handshake) ----
     DeltaCache rx_cache;
     // ---- owning-I/O-thread state ----
     Byte head[4] = {};          // length-prefix accumulator
@@ -422,22 +404,18 @@ class SocketTransport final : public runtime::MailboxTransport {
   }
 
   void ConnectorMain();
-  /// Validates a fresh connection's handshake and adopts it into the
-  /// owning reactor thread's epoll set. `delta_on` is the negotiated AND of
-  /// both ends' wire-delta flags; `peer_shm_name` is non-empty when shm
-  /// negotiation succeeded (both flags + same host) and names the peer's
+  /// Adopts a handshaken connection into the owning reactor thread's epoll
+  /// set. `peer_shm_name` is non-empty when shm negotiation succeeded (both
+  /// ends named a segment and reported the same host) and names the peer's
   /// segment to attach for our writes toward it.
-  void RegisterPeer(std::size_t group, Fd fd, bool delta_on,
-                    const std::string& peer_shm_name);
-  /// This process's handshake flags word (kHelloFlag*).
-  std::uint32_t HelloFlags() const;
+  void RegisterPeer(std::size_t group, Fd fd, const std::string& peer_shm_name);
   void IoLoop(std::size_t ti);
   /// Teardown flush: drains every owned queue (EPOLLOUT-paced), then
   /// half-closes each link.
   void DrainWrites(IoThread& t);
   /// Nonblocking read pump: header/frame state machine until EAGAIN.
   void HandleReadable(IoThread& t, std::size_t group);
-  /// Drains the peer's queue through writev until empty or EAGAIN.
+  /// Drains the peer's queue through sendmsg until empty or EAGAIN.
   void FlushPeer(IoThread& t, std::size_t group);
   /// Coalesces the next queue prefix into a wire image (out_segs); false
   /// when the queue is empty.
@@ -453,8 +431,12 @@ class SocketTransport final : public runtime::MailboxTransport {
   void HandleFrame(std::size_t group, const Buf& frame, bool allow_batch);
   /// Heartbeat tick: drains the timerfd and probes every owned live peer.
   void OnTimer(IoThread& t);
-  /// Retires a mid-run-failed link: drops its queue, leaves the epoll set,
-  /// and fires the peer-down handler (once). Reactor-thread context only.
+  /// Retires a link for good: later enqueues toward it are dropped and
+  /// counted, its queue, ring and delta state are dropped, and it leaves
+  /// the epoll set. Reactor-thread context only.
+  void RetireLink(IoThread& t, Peer& peer);
+  /// Retires a mid-run-failed link and fires the peer-down handler (once).
+  /// Reactor-thread context only.
   void MarkPeerDown(IoThread& t, std::size_t group, const std::string& why);
   /// Remote data-frame send: encodes under the link lock (applying the
   /// delta decision against tx_cache in channel order) and hands the frame

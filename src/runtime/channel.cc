@@ -50,7 +50,7 @@ void ChannelTransport::Send(NodeId src, NodeId dst, stats::MsgCat cat,
   HMDSM_CHECK(src < channels_.size() && dst < channels_.size());
   const std::size_t wire_bytes = payload.size() + kHeaderBytes;
   net::Packet packet{src, dst, cat, std::move(payload)};
-  if (measure_dwell_) packet.enqueued_at = Now();
+  packet.enqueued_at = Now();
   if (src != dst) {
     recorders_[src].RecordMessage(cat, wire_bytes);
     recorders_[src].RecordSent(src, wire_bytes);

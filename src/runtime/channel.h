@@ -366,14 +366,6 @@ class ChannelTransport final : public MailboxTransport {
   }
   bool latency_injection_enabled() const { return inject_scale_ > 0; }
 
-  /// Enables the enqueue→dispatch dwell histogram: Send stamps every packet
-  /// with Now() and Dispatch records the age under the destination's agent
-  /// lock. Off by default — the stamp is the one per-packet clock read on
-  /// the hot path, so histogram-off runs pay nothing. Call before traffic
-  /// starts flowing.
-  void EnableDwellMeasurement() { measure_dwell_ = true; }
-  bool dwell_measurement_enabled() const { return measure_dwell_; }
-
   /// Blocks until `packet`'s injected delivery deadline. No-op when
   /// injection is off or the deadline already passed — but an
   /// already-passed deadline means the packet waited behind an earlier
@@ -463,7 +455,6 @@ class ChannelTransport final : public MailboxTransport {
   std::chrono::steady_clock::time_point epoch_;
   net::HockneyModel inject_model_{70.0, 12.5};  // written before dispatch
   double inject_scale_ = 0.0;                   // starts; read-only after
-  bool measure_dwell_ = false;                  // ditto
 };
 
 }  // namespace hmdsm::runtime

@@ -364,10 +364,11 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksInTwoProcesses) {
   EXPECT_EQ(res.answer, sim_res.checksum);
 }
 
-// The full v7 hot path: 8 ranks in 2 co-located processes with wire deltas
-// AND the shared-memory rings explicitly on. The answer must still equal
-// the sim's, and the counters must show the run genuinely took the new
-// path — data frames rode the rings and the delta caches were consulted.
+// The full hot path: 8 ranks in 2 co-located processes with the
+// shared-memory rings explicitly on (wire deltas always are). The answer
+// must still equal the sim's, and the counters must show the run genuinely
+// took the hot path — data frames rode the rings and the delta caches were
+// consulted.
 TEST(AppsOnSocketsMultiRank, HotspotEightRanksWithWireDeltaAndShm) {
   HMDSM_SKIP_UNDER_TSAN();
   workload::PatternParams params;
@@ -378,7 +379,6 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksWithWireDeltaAndShm) {
       Opts(8, gos::Backend::kSim, false), scenario);
   const MeshResult res =
       RunOnSocketMesh(8, /*ranks_per_proc=*/4, [&](gos::VmOptions vm) {
-        vm.sockets.wire_delta = true;
         vm.sockets.shm = true;
         const auto r = workload::RunScenario(vm, scenario);
         return MeshResult{r.checksum, r.report};
@@ -391,9 +391,9 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksWithWireDeltaAndShm) {
   if (r.wire_delta_hits == 0) EXPECT_EQ(r.wire_delta_bytes_saved, 0u);
 }
 
-// The same run with both hot-path features explicitly off is the control:
-// identical answer, and the counters prove the features stayed cold.
-TEST(AppsOnSocketsMultiRank, HotspotEightRanksPlainWireControl) {
+// The same run with shm off is the TCP control: identical answer, no frame
+// on the rings, and the delta caches still consulted — deltas ride TCP too.
+TEST(AppsOnSocketsMultiRank, HotspotEightRanksTcpControl) {
   HMDSM_SKIP_UNDER_TSAN();
   workload::PatternParams params;
   params.pattern = "hotspot";
@@ -403,7 +403,6 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksPlainWireControl) {
       Opts(8, gos::Backend::kSim, false), scenario);
   const MeshResult res =
       RunOnSocketMesh(8, /*ranks_per_proc=*/4, [&](gos::VmOptions vm) {
-        vm.sockets.wire_delta = false;
         vm.sockets.shm = false;
         const auto r = workload::RunScenario(vm, scenario);
         return MeshResult{r.checksum, r.report};
@@ -411,9 +410,8 @@ TEST(AppsOnSocketsMultiRank, HotspotEightRanksPlainWireControl) {
   EXPECT_EQ(res.answer, sim_res.checksum);
   const gos::RunReport& r = res.report;
   EXPECT_EQ(r.shm_msgs, 0u) << "shm was off";
-  EXPECT_EQ(r.wire_delta_hits, 0u) << "delta was off: no hits";
-  EXPECT_EQ(r.wire_delta_misses, 0u) << "delta was off: no misses";
-  EXPECT_EQ(r.wire_delta_bytes_saved, 0u) << "delta was off: no bytes saved";
+  EXPECT_GT(r.wire_delta_hits + r.wire_delta_misses, 0u)
+      << "object replies should consult the delta caches over TCP too";
 }
 
 TEST(AppsOnSocketsMultiRank, AspEightRanksInTwoProcesses) {

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/dsm/diff.h"
+#include "src/util/rng.h"
 
 namespace hmdsm::netio {
 namespace {
@@ -438,7 +441,7 @@ TEST(NetioFrame, PeekTypeSeesHeartbeats) {
 }
 
 // ---------------------------------------------------------------------------
-// v7: wire delta frames + shm/delta handshake negotiation
+// Wire delta frames + the shm handshake fields
 // ---------------------------------------------------------------------------
 
 TEST(NetioFrame, HelloRoundTripCarriesV7Negotiation) {
@@ -446,11 +449,9 @@ TEST(NetioFrame, HelloRoundTripCarriesV7Negotiation) {
   in.node = 4;
   in.node_count = 8;
   in.ranks_per_proc = 2;
-  in.flags = kHelloFlagWireDelta | kHelloFlagShm;
   in.host_id = 0xDEADBEEFCAFEF00Dull;
   in.shm_name = "/hmdsm-1234-2-abc";
   const HelloFrame out = RoundTrip(in);
-  EXPECT_EQ(out.flags, kHelloFlagWireDelta | kHelloFlagShm);
   EXPECT_EQ(out.host_id, 0xDEADBEEFCAFEF00Dull);
   EXPECT_EQ(out.shm_name, "/hmdsm-1234-2-abc");
 }
@@ -458,13 +459,25 @@ TEST(NetioFrame, HelloRoundTripCarriesV7Negotiation) {
 TEST(NetioFrame, HelloAckRoundTripCarriesV7Negotiation) {
   HelloAckFrame in;
   in.node = 0;
-  in.flags = kHelloFlagShm;
   in.host_id = 7;
   in.shm_name = "/hmdsm-99-0-1";
   const HelloAckFrame out = RoundTrip(in);
-  EXPECT_EQ(out.flags, kHelloFlagShm);
   EXPECT_EQ(out.host_id, 7u);
   EXPECT_EQ(out.shm_name, "/hmdsm-99-0-1");
+}
+
+TEST(NetioFrame, PeekVersionReadsOnlyTheVersionWord) {
+  std::uint32_t version = 0;
+  const Bytes hello = Encode(HelloFrame{});
+  ASSERT_TRUE(PeekVersion(ByteSpan(hello), FrameType::kHello, &version));
+  EXPECT_EQ(version, kProtocolVersion);
+  // Whatever follows the version word is not looked at.
+  const Bytes head(hello.begin(), hello.begin() + 5);
+  ASSERT_TRUE(PeekVersion(ByteSpan(head), FrameType::kHello, &version));
+  EXPECT_EQ(version, kProtocolVersion);
+  EXPECT_FALSE(PeekVersion(ByteSpan(head.data(), 4), FrameType::kHello,
+                           &version));
+  EXPECT_FALSE(PeekVersion(ByteSpan(hello), FrameType::kHelloAck, &version));
 }
 
 DeltaFrame MakeDelta(const Bytes& base, const Bytes& next) {
@@ -629,6 +642,92 @@ TEST(NetioFrame, PeekTypeSeesDeltas) {
   FrameType type;
   ASSERT_TRUE(PeekType(ByteSpan(Encode(MakeDelta(base, next))), &type));
   EXPECT_EQ(type, FrameType::kDelta);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation: every truncation of a valid frame plus kFlips seeded
+// single-byte flips must decode or come back false with a diagnostic —
+// never an exception past the decoder. Deterministic (fixed seed), so a
+// failure reproduces exactly.
+// ---------------------------------------------------------------------------
+
+TEST(NetioFrameDefense, SeededMutationsDecodeOrFailCleanly) {
+  using Decoder = std::function<bool(const Bytes&, std::string*)>;
+  struct Case {
+    const char* name;
+    Bytes valid;
+    Decoder decode;
+  };
+  Bytes base(48, Byte{5});
+  Bytes next = base;
+  next[3] = Byte{9};
+  next[40] = Byte{1};
+  HelloFrame hello;
+  hello.node = 2;
+  hello.node_count = 4;
+  hello.ranks_per_proc = 2;
+  hello.host_id = 0x1234;
+  hello.shm_name = "/hmdsm-1-2-3";
+  HelloAckFrame ack;
+  ack.host_id = 0x1234;
+  ack.shm_name = "/hmdsm-4-5-6";
+  DataFrame data;
+  data.payload = Bytes(12, Byte{7});
+  const std::vector<Case> cases = {
+      {"hello", Encode(hello),
+       [](const Bytes& b, std::string* e) {
+         HelloFrame f;
+         return TryDecode(ByteSpan(b), &f, e);
+       }},
+      {"hello_ack", Encode(ack),
+       [](const Bytes& b, std::string* e) {
+         HelloAckFrame f;
+         return TryDecode(ByteSpan(b), &f, e);
+       }},
+      {"delta", Encode(MakeDelta(base, next)),
+       [](const Bytes& b, std::string* e) {
+         DeltaFrame f;
+         return TryDecode(ByteSpan(b), &f, e);
+       }},
+      {"delta_buf", Encode(MakeDelta(base, next)),
+       [](const Bytes& b, std::string* e) {
+         DeltaFrame f;
+         return TryDecode(Buf(Bytes(b)), &f, e);
+       }},
+      {"batch",
+       EncodeBatch({Encode(data), Encode(MakeDelta(base, next)),
+                    Encode(HeartbeatFrame{1, 2})}),
+       [](const Bytes& b, std::string* e) {
+         std::vector<Buf> inner;
+         return TryDecodeBatch(Buf(Bytes(b)), &inner, e);
+       }},
+  };
+  constexpr int kFlips = 2000;
+  SplitMix64 rng(0x5EEDF00Dull);
+  for (const Case& c : cases) {
+    std::string error;
+    ASSERT_TRUE(c.decode(c.valid, &error)) << c.name << ": " << error;
+    for (std::size_t len = 0; len < c.valid.size(); ++len) {
+      const Bytes cut(c.valid.begin(), c.valid.begin() + len);
+      bool ok = true;
+      error.clear();
+      EXPECT_NO_THROW(ok = c.decode(cut, &error)) << c.name << " len " << len;
+      EXPECT_FALSE(ok) << c.name << " accepted a " << len << "-byte prefix";
+      EXPECT_FALSE(error.empty()) << c.name << " len " << len;
+    }
+    for (int i = 0; i < kFlips; ++i) {
+      Bytes flipped = c.valid;
+      const std::size_t at = rng.next() % flipped.size();
+      flipped[at] ^= static_cast<Byte>(1 + rng.next() % 255);
+      bool ok = false;
+      error.clear();
+      EXPECT_NO_THROW(ok = c.decode(flipped, &error))
+          << c.name << " flip at " << at;
+      if (!ok) {
+        EXPECT_FALSE(error.empty()) << c.name << " flip at " << at;
+      }
+    }
+  }
 }
 
 }  // namespace

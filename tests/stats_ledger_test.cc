@@ -302,27 +302,5 @@ TEST(AuditEndToEnd, PhasedWriterProducesDecisionsAndAdaptationLatency) {
   }
 }
 
-// The opt-out silences what audit owns: the decision ledger and the
-// time-series sampler. (Adaptation latency rides the histogram
-// instrumentation, which has its own switch.)
-TEST(AuditEndToEnd, AuditOffRecordsNoLedgerOrSeries) {
-  workload::PatternParams params;
-  params.pattern = "phased_writer";
-  params.nodes = 4;
-  params.objects = 2;
-  params.repetitions = 8;
-  gos::VmOptions vm;
-  vm.nodes = params.nodes;
-  vm.dsm.policy = "AT";
-  vm.dsm.audit = false;
-  vm.poll_interval_s = 0.01;
-  const workload::ScenarioResult res =
-      workload::RunScenario(vm, workload::GeneratePattern(params));
-  EXPECT_TRUE(res.report.totals.Ledger().empty());
-  EXPECT_TRUE(res.report.totals.Series().empty());
-  // Migration behavior itself is unchanged — audit is observation only.
-  EXPECT_GT(res.report.migrations, 0u);
-}
-
 }  // namespace
 }  // namespace hmdsm::stats

@@ -88,14 +88,10 @@ int Usage(const char* error) {
       "               stderr)\n"
       "             --heartbeat-interval=MS  per-link liveness probe period\n"
       "               (sockets only; default 250, 0 disables heartbeats)\n"
-      "             --wire-delta=0|1   delta-encode repeat object payloads\n"
-      "               on the wire (sockets only; default on)\n"
       "             --shm=0|1          shared-memory rings between same-host\n"
       "               processes for data frames (sockets only; default on)\n"
-      "             --audit=0|1        migration decision ledger (default on)\n"
       "             --audit-out=FILE   dump the cluster-merged decision\n"
       "               ledger as JSON (reporting rank)\n"
-      "             --histograms=0|1   latency histograms (default on)\n"
       "  asp/sor:   --size=N   (sor: --iterations=N)\n"
       "  nbody:     --bodies=N --steps=N\n"
       "  tsp:       --cities=N\n"
@@ -397,9 +393,7 @@ int main(int argc, char** argv) {
   if (vm.sockets.io_threads < 1) return Usage("--io-threads must be >= 1");
   vm.inject_latency = flags.GetBool("inject-latency", false);
   vm.inject_scale = flags.GetDouble("inject-scale", 1.0);
-  vm.histograms = flags.GetBool("histograms", true);
   vm.trace_out = flags.Get("trace-out");
-  vm.dsm.audit = flags.GetBool("audit", true);
   vm.audit_out = flags.Get("audit-out");
   vm.poll_interval_s = flags.GetDouble("poll-interval", 0.0);
   // Sub-second sampling is fine, but a pathological interval (microseconds)
@@ -424,11 +418,6 @@ int main(int argc, char** argv) {
     const std::int64_t hb = flags.GetInt("heartbeat-interval", 250);
     if (hb < 0) return Usage("--heartbeat-interval must be >= 0 (ms)");
     vm.sockets.heartbeat_interval_ms = static_cast<std::size_t>(hb);
-  }
-  if (flags.Has("wire-delta")) {
-    if (vm.backend != gos::Backend::kSockets)
-      return Usage("--wire-delta needs --backend=sockets");
-    vm.sockets.wire_delta = flags.GetBool("wire-delta", true);
   }
   if (flags.Has("shm")) {
     if (vm.backend != gos::Backend::kSockets)
