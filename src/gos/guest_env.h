@@ -1,6 +1,6 @@
 // Internal to the gos backends: the Env implementation over a
 // runtime::Guest, shared by the threads backend (every node in-process)
-// and the sockets backend (one hosted node per process). Application code
+// and the sockets backend (the ranks this process hosts). Application code
 // never names this type — it only ever sees gos::Env.
 #pragma once
 

@@ -250,8 +250,8 @@ struct VmOptions {
   /// Non-empty (reporting rank only): write the cluster-merged migration
   /// decision ledger here as JSON at the end of the run.
   std::string audit_out;
-  /// Non-empty (sockets lead rank only): persist the live StatsPoll
-  /// snapshots here as JSON when polling stops.
+  /// Non-empty (sockets lead rank only): persist the live poll snapshots
+  /// here as JSON when polling stops.
   std::string poll_out;
 };
 
@@ -307,10 +307,10 @@ struct RunReport {
   std::uint64_t shm_msgs = 0;
   std::uint64_t mailbox_overflow_allocs = 0;
   std::uint64_t rx_buffer_allocs = 0;
-  /// Latency histogram summaries (empty when VmOptions::histograms is
-  /// off). RTT is the fault-in request→reply round trip bucketed by the
-  /// reply category (kObj plain, kMig home-migrating; redirect hops
-  /// included in the trip).
+  /// Latency histogram summaries (always recorded; a summary is empty
+  /// only when nothing fed it). RTT is the fault-in request→reply round
+  /// trip bucketed by the reply category (kObj plain, kMig home-migrating;
+  /// redirect hops included in the trip).
   HistSummary rtt[stats::kNumMsgCats] = {};
   HistSummary mailbox_dwell;
   HistSummary socket_write_ns;
@@ -346,7 +346,7 @@ RunReport DecodeReport(Reader& r);
 
 /// Internal: one execution backend behind the Vm facade. Everything the
 /// facade forwards is defined here; each backend lives in its own TU
-/// (vm_sim.cc / vm_threads.cc).
+/// (vm_sim.cc / vm_threads.cc / vm_sockets.cc).
 class VmBackend {
  public:
   virtual ~VmBackend() = default;

@@ -2,19 +2,23 @@
 // messages between cluster nodes.
 //
 // dsm::Agent speaks only this interface, so the same protocol engine runs
-// on both execution backends:
+// on all three execution backends:
 //
 //   * net::Network            — the simulated fabric: Hockney latency, NIC
 //     occupancy, virtual-time delivery inside the discrete-event kernel.
 //   * runtime::ChannelTransport — the in-process threads backend: per-node
 //     mailboxes drained by dispatcher threads, wall-clock Now().
+//   * netio::SocketTransport  — the multi-process sockets backend: the
+//     same mailboxes for hosted ranks, TCP or shared-memory rings between
+//     processes.
 //
-// Delivery contract (both implementations honour it, the protocol relies
+// Delivery contract (every implementation honours it, the protocol relies
 // on it):
 //   * per-sender FIFO: two messages from the same source node arrive at
 //     any given destination in send order (the sim serializes the sender's
 //     NIC; the threads backend pushes into the destination mailbox under
-//     the sender's node lock);
+//     the sender's node lock; the sockets backend keeps one FIFO queue per
+//     process pair);
 //   * handlers run serialized per destination node and must not block;
 //   * self-sends are delivered asynchronously (never re-entrantly inside
 //     the sender's call stack) and are not charged to the wire.

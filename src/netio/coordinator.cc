@@ -39,6 +39,17 @@ LivenessOptions LivenessFor(const SocketTransport& transport) {
   return o;
 }
 
+/// What a required round waits for, named in its timeout diagnostics.
+const char* RoundWhat(RoundOp op) {
+  switch (op) {
+    case RoundOp::kQuiesce: return "quiescence probe replies";
+    case RoundOp::kStats: return "stats replies";
+    case RoundOp::kReset: return "reset replies";
+    case RoundOp::kShutdown: return "shutdown replies";
+  }
+  return "round replies";
+}
+
 /// "0,4,8" — rank lists for the poll line's health callouts.
 std::string RankList(const std::vector<net::NodeId>& ranks) {
   std::string out;
@@ -65,7 +76,9 @@ Coordinator::Coordinator(SocketTransport& transport,
     liveness_.Track(link.primary,
                     static_cast<std::uint64_t>(transport_.Now()));
   transport_.SetControlHandler(
-      [this](net::NodeId src, ByteSpan frame) { OnControlFrame(src, frame); });
+      [this](net::NodeId src, ByteSpan frame, std::string* error) {
+        return OnControlFrame(src, frame, error);
+      });
   transport_.SetPeerDownHandler(
       [this](net::NodeId primary, const std::string& why) {
         OnPeerDown(primary, why);
@@ -102,150 +115,111 @@ void Coordinator::WaitFor(std::unique_lock<std::mutex>& lock, Pred pred,
   HMDSM_CHECK_MSG(false, "control-plane timeout waiting for " << what);
 }
 
-void Coordinator::OnControlFrame(net::NodeId src, ByteSpan frame) {
+bool Coordinator::OnControlFrame(net::NodeId src, ByteSpan frame,
+                                 std::string* error) {
   FrameType type;
-  std::string error;
   HMDSM_CHECK(PeekType(frame, &type));  // transport routed it, so it peeked
   switch (type) {
     case FrameType::kStartThread: {
       StartThreadFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
+      if (!TryDecode(frame, &f, error)) return false;
       std::lock_guard lock(mu_);
       started_.insert(f.seq);
-      cv_.notify_all();
-      return;
+      break;
     }
     case FrameType::kThreadDone: {
       ThreadDoneFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
+      if (!TryDecode(frame, &f, error)) return false;
       std::lock_guard lock(mu_);
       done_[f.seq] = RemoteDone{std::move(f.error), std::move(f.result)};
-      cv_.notify_all();
-      return;
+      break;
     }
-    case FrameType::kQuiesceProbe: {
-      QuiesceProbeFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
-      // Replied straight from reader context: counters are atomics.
-      transport_.SendControl(
-          src, Encode(QuiesceReplyFrame{
-                   f.round, transport_.wire_sent(), transport_.wire_received(),
-                   transport_.enqueued(), transport_.dispatched()}));
-      return;
+    case FrameType::kRound: {
+      RoundFrame f;
+      if (!TryDecode(frame, &f, error)) return false;
+      OnRound(src, f);
+      break;
     }
-    case FrameType::kQuiesceReply: {
-      QuiesceReplyFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
+    case FrameType::kRoundReply: {
+      RoundReplyFrame f;
+      if (!TryDecode(frame, &f, error)) return false;
+      OnRoundReply(src, std::move(f));
+      break;
+    }
+    case FrameType::kShutdownDone: {
+      ShutdownDoneFrame f;
+      if (!TryDecode(frame, &f, error)) return false;
       std::lock_guard lock(mu_);
-      if (f.round == quiesce_round_) quiesce_replies_[src] = f;
-      cv_.notify_all();
-      return;
+      shutdown_done_ = true;
+      break;
     }
-    case FrameType::kStatsRequest: {
-      StatsRequestFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
-      // Close the final (partial) sampling window before snapshotting, so
-      // the gathered series covers the run right up to the gather.
+    default:
+      *error = "unexpected frame type " +
+               std::to_string(static_cast<int>(type));
+      return false;
+  }
+  cv_.notify_all();
+  return true;
+}
+
+Activity Coordinator::LocalActivity() const {
+  return Activity{transport_.wire_sent(), transport_.wire_received(),
+                  transport_.enqueued(), transport_.dispatched()};
+}
+
+void Coordinator::OnRound(net::NodeId src, const RoundFrame& round) {
+  // Answered straight from reader context: the counters are atomics.
+  RoundReplyFrame reply;
+  reply.op = round.op;
+  reply.seq = round.seq;
+  switch (round.op) {
+    case RoundOp::kQuiesce:
+      break;
+    case RoundOp::kStats:
+      // The lead's stats rounds are this process's time-series clock:
+      // close one window first, so a poll carries a fresh sample and a
+      // gather's series runs right up to the gather. Totals merges every
+      // locally hosted rank under its agent lock, so it is consistent even
+      // against a straggling handler.
       runtime_.SampleTimeseries();
-      // All locally hosted ranks merged (Totals takes each agent lock, so
-      // it is consistent even against a straggling handler — the lead
-      // quiesces first anyway).
-      StatsReplyFrame reply;
-      reply.tag = f.tag;
-      reply.node = transport_.rank();
+      reply.now_ns = static_cast<std::uint64_t>(transport_.Now());
       reply.recorder = runtime_.Totals();
-      transport_.SendControl(src, Encode(reply));
-      return;
-    }
-    case FrameType::kStatsReply: {
-      StatsReplyFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
-      std::lock_guard lock(mu_);
-      if (f.tag == stats_tag_) stats_replies_[src] = std::move(f.recorder);
-      cv_.notify_all();
-      return;
-    }
-    case FrameType::kResetStats: {
-      ResetStatsFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
+      break;
+    case RoundOp::kReset:
       // The lead established global quiescence before broadcasting, so the
       // local reset (quiesce + zero + epoch) completes immediately and
       // races nothing.
       runtime_.ResetMeasurement();
-      transport_.SendControl(src, Encode(ResetAckFrame{f.tag}));
-      return;
-    }
-    case FrameType::kResetAck: {
-      ResetAckFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
-      std::lock_guard lock(mu_);
-      if (f.tag == reset_tag_) ++reset_acks_;
-      cv_.notify_all();
-      return;
-    }
-    case FrameType::kShutdown: {
-      ShutdownFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
+      break;
+    case RoundOp::kShutdown: {
       transport_.BeginShutdown();  // EOFs are goodbyes from here on
       std::lock_guard lock(mu_);
       shutdown_received_ = true;
-      abort_received_ = f.abort;
-      cv_.notify_all();
-      return;
+      abort_received_ = round.abort;
+      shutdown_seq_ = round.seq;
+      return;  // AckShutdown answers, once local threads are done
     }
-    case FrameType::kShutdownAck: {
-      ShutdownAckFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
-      std::lock_guard lock(mu_);
-      ++shutdown_acks_;
-      cv_.notify_all();
-      return;
-    }
-    case FrameType::kShutdownDone: {
-      ShutdownDoneFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
-      std::lock_guard lock(mu_);
-      shutdown_done_ = true;
-      cv_.notify_all();
-      return;
-    }
-    case FrameType::kStatsPoll: {
-      StatsPollFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
-      // Best-effort mid-run snapshot, answered from reader context like a
-      // quiescence probe (the snapshot briefly takes the agent lock). The
-      // poll doubles as this rank's time-series clock: close one counter
-      // window first so the snapshot carries the fresh sample to the lead.
-      runtime_.SampleTimeseries();
-      StatsPollReplyFrame reply;
-      reply.seq = f.seq;
-      reply.node = transport_.rank();
-      reply.now_ns = static_cast<std::uint64_t>(transport_.Now());
-      reply.recorder = runtime_.Totals();  // all locally hosted ranks
-      transport_.SendControl(src, Encode(reply));
-      return;
-    }
-    case FrameType::kStatsPollReply: {
-      StatsPollReplyFrame f;
-      if (!TryDecode(frame, &f, &error)) break;
-      std::lock_guard lock(mu_);
-      // Every reply refreshes that process's cached snapshot — a late
-      // answer to an old poll is still its newest counters, and the merge
-      // calls it out as stale rather than dropping it. Only a reply to
-      // the current round counts as answered.
-      const auto it = poll_latest_.find(src);
-      if (it == poll_latest_.end() || f.seq >= it->second.seq)
-        poll_latest_[src] = f;
-      if (f.seq == poll_seq_) poll_replies_[src] = std::move(f);
-      cv_.notify_all();
-      return;
-    }
-    default:
-      error = "unexpected frame type " +
-              std::to_string(static_cast<int>(type));
-      break;
   }
-  HMDSM_CHECK_MSG(false, "control frame from rank " << src << ": " << error);
+  reply.activity = LocalActivity();
+  transport_.SendControl(src, Encode(reply));
+}
+
+void Coordinator::OnRoundReply(net::NodeId src, RoundReplyFrame reply) {
+  std::lock_guard lock(mu_);
+  if (reply.op == RoundOp::kStats) {
+    // Every stats reply refreshes that process's cached snapshot — a late
+    // answer to an old poll, or a gather's, is still its newest counters,
+    // and the poll merge calls an old one out as stale rather than
+    // dropping it.
+    const auto it = poll_latest_.find(src);
+    if (it == poll_latest_.end() || reply.seq >= it->second.seq)
+      poll_latest_[src] = reply;
+  }
+  // Only a reply to a round still open, and of that round's op, is filed;
+  // a late answer to a poll that stopped waiting only counted above.
+  const auto round = rounds_.find(reply.seq);
+  if (round != rounds_.end() && round->second.op == reply.op)
+    round->second.replies[src] = std::move(reply);
 }
 
 // ---------------------------------------------------------------------------
@@ -382,47 +356,65 @@ Coordinator::RemoteDone Coordinator::AwaitThreadDone(std::uint64_t seq) {
   return done_.at(seq);
 }
 
+std::uint64_t Coordinator::OpenRound(RoundOp op, bool abort) {
+  std::uint64_t seq = 0;
+  {
+    std::lock_guard lock(mu_);
+    seq = ++round_seq_;
+    rounds_[seq].op = op;
+  }
+  // Registered before it is sent, so no reply can beat its round; sent
+  // outside mu_, which is never held while taking the transport's locks.
+  transport_.BroadcastControl(Encode(RoundFrame{op, seq, abort}));
+  return seq;
+}
+
+std::map<net::NodeId, RoundReplyFrame> Coordinator::CloseRound(
+    std::uint64_t seq) {
+  return std::move(rounds_.extract(seq).mapped().replies);
+}
+
+std::map<net::NodeId, RoundReplyFrame> Coordinator::RunRound(RoundOp op,
+                                                             bool abort) {
+  // One reply per remote *process*: its counters are process-level and
+  // its recorder already merges every rank it hosts.
+  const std::size_t others = transport_.process_count() - 1;
+  const std::uint64_t seq = OpenRound(op, abort);
+  std::unique_lock lock(mu_);
+  WaitFor(
+      lock,
+      [&] {
+        // Dead processes can never answer a shutdown, so that barrier
+        // shrinks past them (re-evaluated under mu_, so a death mid-wait
+        // lowers the bar immediately); every other round needs them all.
+        const std::size_t dead =
+            op == RoundOp::kShutdown ? dead_procs_.size() : 0;
+        return rounds_.at(seq).replies.size() >= others - dead;
+      },
+      RoundWhat(op));
+  return CloseRound(seq);
+}
+
 void Coordinator::GlobalQuiesce() {
   HMDSM_CHECK(is_lead());
-  // One reply per *process*: the wire/mailbox counters are process-level,
-  // and that is exactly the granularity quiescence needs.
-  const std::size_t others = transport_.process_count() - 1;
-  std::vector<QuiesceReplyFrame> previous;
+  std::vector<Activity> previous;
   for (;;) {
     runtime_.AwaitQuiescence();  // local first: cheap and usually sufficient
-    std::vector<QuiesceReplyFrame> round(transport_.node_count());
-    {
-      std::unique_lock lock(mu_);
-      const std::uint64_t round_id = ++quiesce_round_;
-      quiesce_replies_.clear();
-      transport_.BroadcastControl(Encode(QuiesceProbeFrame{round_id}));
-      WaitFor(lock, [&] { return quiesce_replies_.size() == others; },
-              "quiescence probe replies");
-      for (const auto& [rank, reply] : quiesce_replies_) round[rank] = reply;
-    }
-    round[transport_.rank()] = QuiesceReplyFrame{
-        0, transport_.wire_sent(), transport_.wire_received(),
-        transport_.enqueued(), transport_.dispatched()};
+    std::vector<Activity> round(transport_.node_count());
+    for (const auto& [primary, reply] : RunRound(RoundOp::kQuiesce))
+      round[primary] = reply.activity;
+    round[transport_.rank()] = LocalActivity();
 
     std::uint64_t sent = 0, received = 0;
     bool locally_idle = true;
-    for (const QuiesceReplyFrame& r : round) {
-      sent += r.wire_sent;
-      received += r.wire_received;
-      locally_idle = locally_idle && r.enqueued == r.dispatched;
+    for (const Activity& a : round) {
+      sent += a.wire_sent;
+      received += a.wire_received;
+      locally_idle = locally_idle && a.enqueued == a.dispatched;
     }
-    const auto same = [](const QuiesceReplyFrame& a,
-                         const QuiesceReplyFrame& b) {
-      return a.wire_sent == b.wire_sent &&
-             a.wire_received == b.wire_received && a.enqueued == b.enqueued &&
-             a.dispatched == b.dispatched;
-    };
-    bool stable = !previous.empty();
-    for (std::size_t i = 0; stable && i < round.size(); ++i)
-      stable = same(round[i], previous[i]);
     // Counters are monotone: identical counters across two rounds with
     // matched sums and idle mailboxes means nothing moved in between.
-    if (sent == received && locally_idle && stable) return;
+    if (sent == received && locally_idle && round == previous) return;
     previous = std::move(round);
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
@@ -430,21 +422,12 @@ void Coordinator::GlobalQuiesce() {
 
 stats::Recorder Coordinator::GatherStats() {
   HMDSM_CHECK(is_lead());
-  // One StatsReply per remote *process*, each already a merge of all the
-  // ranks that process hosts.
-  const std::size_t others = transport_.process_count() - 1;
   stats::Recorder total;
   total.SetNodeCount(transport_.node_count());
-  std::unique_lock lock(mu_);
-  const std::uint64_t tag = ++stats_tag_;
-  stats_replies_.clear();
-  transport_.BroadcastControl(Encode(StatsRequestFrame{tag}));
-  WaitFor(lock, [&] { return stats_replies_.size() == others; },
-          "stats replies");
-  for (const auto& [rank, recorder] : stats_replies_) total.Merge(recorder);
-  lock.unlock();
-  // Same final-window close for the lead's own series as the StatsRequest
-  // handler performs on every other process.
+  for (const auto& [primary, reply] : RunRound(RoundOp::kStats))
+    total.Merge(reply.recorder);
+  // Same final-window close for the lead's own series as the stats round
+  // performs on every other process.
   runtime_.SampleTimeseries();
   total.Merge(runtime_.Totals());
   return total;
@@ -452,19 +435,13 @@ stats::Recorder Coordinator::GatherStats() {
 
 void Coordinator::GlobalResetStats() {
   HMDSM_CHECK(is_lead());
-  // Quiesce first so no in-flight message straddles the reset; the acks
+  // Quiesce first so no in-flight message straddles the reset; the replies
   // below guarantee every rank reset before the lead proceeds (and the
   // per-peer FIFO queues order each rank's reset before any later
   // lead-caused traffic) — so measured windows cover identical traffic on
   // every rank.
   GlobalQuiesce();
-  const std::size_t others = transport_.process_count() - 1;
-  std::unique_lock lock(mu_);
-  const std::uint64_t tag = ++reset_tag_;
-  reset_acks_ = 0;
-  transport_.BroadcastControl(Encode(ResetStatsFrame{tag}));
-  WaitFor(lock, [&] { return reset_acks_ == others; }, "reset acks");
-  lock.unlock();
+  RunRound(RoundOp::kReset);
   runtime_.ResetMeasurement();
 }
 
@@ -563,16 +540,17 @@ void Coordinator::PollLoop(double interval_s) {
   std::unique_lock lock(mu_);
   for (;;) {
     if (cv_.wait_for(lock, interval, [&] { return poll_stop_; })) return;
-    poll_replies_.clear();
-    const std::uint64_t seq = ++poll_seq_;
-    transport_.BroadcastControl(Encode(StatsPollFrame{seq}));
+    lock.unlock();
+    const std::uint64_t seq = OpenRound(RoundOp::kStats);
+    lock.lock();
     // Best-effort: a process that cannot answer within a full interval is
     // reported as stale, not waited out — live metrics must never wedge
     // the run they observe. Dead processes are not waited for at all.
     cv_.wait_for(lock, interval, [&] {
       return poll_stop_ ||
-             poll_replies_.size() >= others - dead_procs_.size();
+             rounds_.at(seq).replies.size() >= others - dead_procs_.size();
     });
+    const std::size_t answered = CloseRound(seq).size();
     if (poll_stop_) return;
     stats::Recorder total;
     total.SetNodeCount(transport_.node_count());
@@ -586,12 +564,11 @@ void Coordinator::PollLoop(double interval_s) {
       // Merge the newest snapshot held even when it answered an older
       // round — called out as stale instead of silently folded in.
       total.Merge(it->second.recorder);
-      if (it->second.seq != seq) stale.push_back(r);
+      if (it->second.seq < seq) stale.push_back(r);
     }
-    const std::size_t answered = poll_replies_.size();
     lock.unlock();
     const std::vector<LinkStats> links = transport_.LinkSnapshots();
-    // The lead has no poll frame to react to — sample its own window here.
+    // The lead answers no round of its own — sample its own window here.
     runtime_.SampleTimeseries();
     total.Merge(runtime_.Totals());
     const sim::Time now = transport_.Now();
@@ -650,18 +627,8 @@ void Coordinator::PollLoop(double interval_s) {
 void Coordinator::ShutdownMesh(bool abort) {
   HMDSM_CHECK(is_lead());
   transport_.BeginShutdown();
-  const std::size_t others = transport_.process_count() - 1;
-  {
-    std::unique_lock lock(mu_);
-    transport_.BroadcastControl(Encode(ShutdownFrame{abort}));
-    // Dead processes can never ack; the barrier shrinks past them so a
-    // partially-dead cluster still unwinds cleanly (re-evaluated under
-    // mu_, so a death mid-wait lowers the bar immediately).
-    WaitFor(lock,
-            [&] { return shutdown_acks_ >= others - dead_procs_.size(); },
-            "shutdown acks");
-  }
-  // Second phase: nobody closes a socket until everyone has acked, so a
+  RunRound(RoundOp::kShutdown, abort);
+  // Second phase: nobody closes a socket until everyone has answered, so a
   // teardown EOF can only land on a rank that already knows the run ended.
   transport_.BroadcastControl(Encode(ShutdownDoneFrame{}));
 }
@@ -706,7 +673,14 @@ bool Coordinator::AwaitShutdown() {
 
 void Coordinator::AckShutdown() {
   HMDSM_CHECK(!is_lead());
-  transport_.SendControl(lead_, Encode(ShutdownAckFrame{}));
+  RoundReplyFrame reply;
+  reply.op = RoundOp::kShutdown;
+  {
+    std::lock_guard lock(mu_);
+    reply.seq = shutdown_seq_;
+  }
+  reply.activity = LocalActivity();
+  transport_.SendControl(lead_, Encode(reply));
 }
 
 void Coordinator::AwaitShutdownDone() {

@@ -5,7 +5,9 @@
 // but only the *lead* rank (the Vm's start node) executes DSM operations;
 // the other replicas are ghosts whose ops are no-ops. Everything that
 // needs cluster agreement flows through here, over control frames that
-// share the transport's per-peer FIFO queues:
+// share the transport's per-peer FIFO queues. Every fan-in below is one
+// lead *round*: the lead registers a Round frame under a fresh sequence
+// number, broadcasts it, and collects one RoundReply per process.
 //
 //   * Thread start: a rank hosting a spawned thread holds its body until
 //     the lead's StartThread frame arrives. Because the lead only reaches
@@ -18,10 +20,12 @@
 //     counters with sum(wire_sent) == sum(wire_received) and local
 //     enqueued == dispatched everywhere.
 //   * Stats gather/reset: per-rank recorders are serialized to the lead
-//     for merged reports; reset is quiesce + broadcast + acks, so every
-//     measured-phase message is causally after every rank's reset.
+//     for merged reports (the live poll is the same stats round, waited
+//     for at most one interval); reset is quiesce rounds + a reset round,
+//     so every measured-phase message is causally after every rank's
+//     reset.
 //   * Shutdown barrier: the lead announces the end of the run, every rank
-//     acks after its local threads finished, and only then do sockets
+//     answers after its local threads finished, and only then do sockets
 //     close — so teardown EOFs are expected goodbyes, not failures.
 //
 // All waits carry a generous timeout and fail loudly: a silently hung
@@ -90,12 +94,12 @@ class Coordinator {
   /// zeroes its recorder and marks its epoch, acknowledged before return.
   void GlobalResetStats();
 
-  /// Starts the live metrics plane: a lead-side sampler thread broadcasts
-  /// a StatsPoll every `interval_s` seconds mid-run, merges the best-effort
+  /// Starts the live metrics plane: a lead-side sampler thread opens a
+  /// stats round every `interval_s` seconds mid-run, merges the best-effort
   /// per-rank snapshots, and prints a cluster ops/s line to stderr. Replies
   /// double as rank heartbeats — a rank that stops answering is called out
   /// in the sample line (the groundwork for failure detection). Each poll
-  /// also closes one time-series window on every rank (the poll handler
+  /// also closes one time-series window on every rank (the stats handler
   /// self-samples before snapshotting), so the sockets backend grows its
   /// stats::Timeseries at the same cadence as the other backends. No-op
   /// when interval_s <= 0. Non-empty `poll_out`: StopPolling persists the
@@ -133,8 +137,8 @@ class Coordinator {
   };
   PollView LatestPoll();
 
-  /// Announces the end of the run, waits for every rank's ack (each sent
-  /// after its local threads finished), then broadcasts the all-clear.
+  /// Announces the end of the run, waits for every live rank's answer (each
+  /// sent after its local threads finished), then broadcasts the all-clear.
   /// After this returns, no frame of any kind is in flight anywhere —
   /// sockets may close.
   void ShutdownMesh(bool abort);
@@ -149,19 +153,43 @@ class Coordinator {
   void NotifyThreadDone(std::uint64_t seq, const std::string& error,
                         const Bytes& result);
 
-  /// Non-lead end-of-run gate: blocks until the lead's Shutdown frame.
+  /// Non-lead end-of-run gate: blocks until the lead's shutdown round.
   /// Returns true if the lead aborted (error unwind). The caller joins its
-  /// local threads, then AckShutdown() — the ack promises this rank sends
-  /// nothing further, so it must come after everything local is done.
+  /// local threads, then AckShutdown() answers the round — the answer
+  /// promises this rank sends nothing further, so it must come after
+  /// everything local is done.
   bool AwaitShutdown();
   void AckShutdown();
 
-  /// Blocks for the lead's all-clear: every rank has acked, so closing
+  /// Blocks for the lead's all-clear: every rank has answered, so closing
   /// this rank's sockets can no longer surprise anyone.
   void AwaitShutdownDone();
 
  private:
-  void OnControlFrame(net::NodeId src, ByteSpan frame);
+  /// One open lead round: the replies collected so far, by remote primary.
+  struct Round {
+    RoundOp op = RoundOp::kQuiesce;
+    std::map<net::NodeId, RoundReplyFrame> replies;
+  };
+
+  /// Decodes and routes one control frame; false + diagnostic when it is
+  /// malformed (the transport then dies naming the sender).
+  bool OnControlFrame(net::NodeId src, ByteSpan frame, std::string* error);
+  /// Hosting side: the one handler per RoundOp.
+  void OnRound(net::NodeId src, const RoundFrame& round);
+  /// Lead side: files a reply under its open round.
+  void OnRoundReply(net::NodeId src, RoundReplyFrame reply);
+  /// This process's activity counters (atomics: callable from any thread).
+  Activity LocalActivity() const;
+  /// Lead side: registers a round under mu_, broadcasts it outside mu_,
+  /// and returns its sequence number.
+  std::uint64_t OpenRound(RoundOp op, bool abort = false);
+  /// Lead side: removes round `seq` and returns its replies (mu_ held).
+  std::map<net::NodeId, RoundReplyFrame> CloseRound(std::uint64_t seq);
+  /// Lead side: a required round. Waits under WaitFor's rules for every
+  /// other process (for kShutdown, every one still alive), then closes it.
+  std::map<net::NodeId, RoundReplyFrame> RunRound(RoundOp op,
+                                                  bool abort = false);
   /// Reactor callback for a mid-run link failure: records the death,
   /// unwedges local waits, and emits the health callout + trace instant.
   void OnPeerDown(net::NodeId primary, const std::string& why);
@@ -198,15 +226,12 @@ class Coordinator {
   bool shutdown_received_ = false;
   bool abort_received_ = false;
   bool shutdown_done_ = false;
-  // lead side
+  std::uint64_t shutdown_seq_ = 0;  // the round AckShutdown answers
+  // lead side: the main thread and the poll thread may each have a round
+  // open at once, so rounds are told apart by their sequence number.
   std::map<std::uint64_t, RemoteDone> done_;
-  std::map<net::NodeId, QuiesceReplyFrame> quiesce_replies_;
-  std::uint64_t quiesce_round_ = 0;
-  std::map<net::NodeId, stats::Recorder> stats_replies_;
-  std::uint64_t stats_tag_ = 0;
-  std::size_t reset_acks_ = 0;
-  std::uint64_t reset_tag_ = 0;
-  std::size_t shutdown_acks_ = 0;
+  std::uint64_t round_seq_ = 0;
+  std::map<std::uint64_t, Round> rounds_;
   // health plane (all guarded by mu_)
   LivenessTracker liveness_;
   std::set<net::NodeId> dead_procs_;  // primaries whose link failed
@@ -219,12 +244,10 @@ class Coordinator {
   // live metrics plane (lead side)
   std::thread poll_thread_;
   bool poll_stop_ = false;
-  std::uint64_t poll_seq_ = 0;
-  std::map<net::NodeId, StatsPollReplyFrame> poll_replies_;
-  /// Freshest reply ever received per process, regardless of poll round:
-  /// a slow rank's counters are merged from here (and called out as
-  /// stale) instead of silently vanishing from the totals.
-  std::map<net::NodeId, StatsPollReplyFrame> poll_latest_;
+  /// Freshest stats reply ever received per process, from any poll or
+  /// gather round: a slow rank's counters are merged from here (and called
+  /// out as stale) instead of silently vanishing from the totals.
+  std::map<net::NodeId, RoundReplyFrame> poll_latest_;
   PollView latest_view_;
   /// One retained line per poll, persisted to `poll_out_` by StopPolling.
   struct PollSample {

@@ -279,104 +279,62 @@ bool TryDecode(ByteSpan frame, ThreadDoneFrame* out, std::string* error) {
   });
 }
 
-Bytes Encode(const QuiesceProbeFrame& f) {
-  Writer w = Begin(FrameType::kQuiesceProbe);
-  w.u64(f.round);
-  return w.take();
+namespace {
+
+RoundOp ReadRoundOp(Reader& r) {
+  const std::uint8_t op = r.u8();
+  HMDSM_CHECK_MSG(op < kNumRoundOps,
+                  "round op " << static_cast<int>(op) << " out of range");
+  return static_cast<RoundOp>(op);
 }
 
-bool TryDecode(ByteSpan frame, QuiesceProbeFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kQuiesceProbe, error,
-                   [&](Reader& r) { out->round = r.u64(); });
-}
+}  // namespace
 
-Bytes Encode(const QuiesceReplyFrame& f) {
-  Writer w = Begin(FrameType::kQuiesceReply);
-  w.u64(f.round);
-  w.u64(f.wire_sent);
-  w.u64(f.wire_received);
-  w.u64(f.enqueued);
-  w.u64(f.dispatched);
-  return w.take();
-}
-
-bool TryDecode(ByteSpan frame, QuiesceReplyFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kQuiesceReply, error, [&](Reader& r) {
-    out->round = r.u64();
-    out->wire_sent = r.u64();
-    out->wire_received = r.u64();
-    out->enqueued = r.u64();
-    out->dispatched = r.u64();
-  });
-}
-
-Bytes Encode(const StatsRequestFrame& f) {
-  Writer w = Begin(FrameType::kStatsRequest);
-  w.u64(f.tag);
-  return w.take();
-}
-
-bool TryDecode(ByteSpan frame, StatsRequestFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kStatsRequest, error,
-                   [&](Reader& r) { out->tag = r.u64(); });
-}
-
-Bytes Encode(const StatsReplyFrame& f) {
-  Writer w = Begin(FrameType::kStatsReply);
-  w.u64(f.tag);
-  w.u32(f.node);
-  f.recorder.Encode(w);
-  return w.take();
-}
-
-bool TryDecode(ByteSpan frame, StatsReplyFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kStatsReply, error, [&](Reader& r) {
-    out->tag = r.u64();
-    out->node = r.u32();
-    out->recorder = stats::Recorder::Decode(r);
-  });
-}
-
-Bytes Encode(const ResetStatsFrame& f) {
-  Writer w = Begin(FrameType::kResetStats);
-  w.u64(f.tag);
-  return w.take();
-}
-
-bool TryDecode(ByteSpan frame, ResetStatsFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kResetStats, error,
-                   [&](Reader& r) { out->tag = r.u64(); });
-}
-
-Bytes Encode(const ResetAckFrame& f) {
-  Writer w = Begin(FrameType::kResetAck);
-  w.u64(f.tag);
-  return w.take();
-}
-
-bool TryDecode(ByteSpan frame, ResetAckFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kResetAck, error,
-                   [&](Reader& r) { out->tag = r.u64(); });
-}
-
-Bytes Encode(const ShutdownFrame& f) {
-  Writer w = Begin(FrameType::kShutdown);
+Bytes Encode(const RoundFrame& f) {
+  Writer w = Begin(FrameType::kRound);
+  w.u8(static_cast<std::uint8_t>(f.op));
+  w.u64(f.seq);
   w.u8(f.abort ? 1 : 0);
   return w.take();
 }
 
-bool TryDecode(ByteSpan frame, ShutdownFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kShutdown, error,
-                   [&](Reader& r) { out->abort = r.u8() != 0; });
+bool TryDecode(ByteSpan frame, RoundFrame* out, std::string* error) {
+  return Defensive(frame, FrameType::kRound, error, [&](Reader& r) {
+    out->op = ReadRoundOp(r);
+    out->seq = r.u64();
+    out->abort = r.u8() != 0;
+  });
 }
 
-Bytes Encode(const ShutdownAckFrame&) {
-  return Begin(FrameType::kShutdownAck).take();
+Bytes Encode(const RoundReplyFrame& f) {
+  Writer w = Begin(FrameType::kRoundReply);
+  w.u8(static_cast<std::uint8_t>(f.op));
+  w.u64(f.seq);
+  w.u64(f.activity.wire_sent);
+  w.u64(f.activity.wire_received);
+  w.u64(f.activity.enqueued);
+  w.u64(f.activity.dispatched);
+  if (f.op == RoundOp::kStats) {
+    w.u64(f.now_ns);
+    f.recorder.Encode(w);
+  }
+  return w.take();
 }
 
-bool TryDecode(ByteSpan frame, ShutdownAckFrame* out, std::string* error) {
-  (void)out;
-  return Defensive(frame, FrameType::kShutdownAck, error, [](Reader&) {});
+bool TryDecode(ByteSpan frame, RoundReplyFrame* out, std::string* error) {
+  return Defensive(frame, FrameType::kRoundReply, error, [&](Reader& r) {
+    *out = RoundReplyFrame{};
+    out->op = ReadRoundOp(r);
+    out->seq = r.u64();
+    out->activity.wire_sent = r.u64();
+    out->activity.wire_received = r.u64();
+    out->activity.enqueued = r.u64();
+    out->activity.dispatched = r.u64();
+    if (out->op == RoundOp::kStats) {
+      out->now_ns = r.u64();
+      out->recorder = stats::Recorder::Decode(r);
+    }
+  });
 }
 
 Bytes Encode(const ShutdownDoneFrame&) {
@@ -386,35 +344,6 @@ Bytes Encode(const ShutdownDoneFrame&) {
 bool TryDecode(ByteSpan frame, ShutdownDoneFrame* out, std::string* error) {
   (void)out;
   return Defensive(frame, FrameType::kShutdownDone, error, [](Reader&) {});
-}
-
-Bytes Encode(const StatsPollFrame& f) {
-  Writer w = Begin(FrameType::kStatsPoll);
-  w.u64(f.seq);
-  return w.take();
-}
-
-bool TryDecode(ByteSpan frame, StatsPollFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kStatsPoll, error,
-                   [&](Reader& r) { out->seq = r.u64(); });
-}
-
-Bytes Encode(const StatsPollReplyFrame& f) {
-  Writer w = Begin(FrameType::kStatsPollReply);
-  w.u64(f.seq);
-  w.u32(f.node);
-  w.u64(f.now_ns);
-  f.recorder.Encode(w);
-  return w.take();
-}
-
-bool TryDecode(ByteSpan frame, StatsPollReplyFrame* out, std::string* error) {
-  return Defensive(frame, FrameType::kStatsPollReply, error, [&](Reader& r) {
-    out->seq = r.u64();
-    out->node = r.u32();
-    out->now_ns = r.u64();
-    out->recorder = stats::Recorder::Decode(r);
-  });
 }
 
 Bytes Encode(const HeartbeatFrame& f) {

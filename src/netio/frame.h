@@ -7,8 +7,9 @@
 // where payload[0] is the FrameType. Data frames carry one serialized DSM
 // protocol message (exactly the bytes the in-process transports deliver);
 // control frames carry the mesh handshake and the coordinator's
-// control-plane: remote thread start/completion, distributed quiescence
-// probes, stats gather, stats reset, and the shutdown barrier.
+// control-plane: remote thread start/completion and the lead's rounds
+// (distributed quiescence probes, stats gather and live polls, stats
+// reset, and the shutdown barrier).
 //
 // Peer input is untrusted: every decoder here returns false with a
 // diagnostic on truncated, oversized, out-of-range, or trailing-garbage
@@ -43,8 +44,10 @@ namespace hmdsm::netio {
 /// recorder serialization also grew new event counters. v8: wire deltas
 /// are unconditional, so Hello/HelloAck drop the v7 feature-flags word —
 /// a link rides shm exactly when the peer names a segment and reports the
-/// same host.
-constexpr std::uint32_t kProtocolVersion = 8;
+/// same host. v9: the five lead request/reply pairs (quiesce probe, stats
+/// request, stats reset, shutdown, stats poll) collapse into one
+/// Round/RoundReply pair keyed by a sequence number and an op.
+constexpr std::uint32_t kProtocolVersion = 9;
 
 /// Frames larger than this are rejected before allocation. Generous: the
 /// largest legitimate frame is an object reply for the biggest shared
@@ -57,18 +60,10 @@ enum class FrameType : std::uint8_t {
   kData,           // one DSM protocol message
   kStartThread,    // lead -> host: run spawned thread `seq` now
   kThreadDone,     // host -> lead: thread `seq` finished (error + result)
-  kQuiesceProbe,   // lead -> all: report your counters for `round`
-  kQuiesceReply,   // rank -> lead: wire/mailbox counters at probe time
-  kStatsRequest,   // lead -> all: send your recorder
-  kStatsReply,     // rank -> lead: serialized stats::Recorder
-  kResetStats,     // lead -> all: zero your recorder, mark your epoch
-  kResetAck,       // rank -> lead
-  kShutdown,       // lead -> all: run over (abort flag for error unwinds)
-  kShutdownAck,    // rank -> lead: my local threads are done, nothing more
-  kShutdownDone,   // lead -> all: every rank acked — safe to close sockets
+  kRound,          // lead -> all: run control round `seq` (a RoundOp)
+  kRoundReply,     // process -> lead: its answer to round `seq`
+  kShutdownDone,   // lead -> all: shutdown round answered — safe to close
   kBatch,          // several coalesced frames in one wire write
-  kStatsPoll,      // lead -> all: mid-run live-metrics sample `seq`
-  kStatsPollReply, // rank -> lead: counters+histograms at sample time
   kHeartbeat,      // either direction: link-liveness probe `seq`
   kHeartbeatAck,   // echo of a Heartbeat: same seq + sender's send stamp
   kDelta,          // one DSM message, diff-encoded against the last
@@ -145,70 +140,54 @@ struct ThreadDoneFrame {
   Bytes result;       // Env::PublishResult payload (may be empty)
 };
 
-struct QuiesceProbeFrame {
-  std::uint64_t round = 0;
+/// What a lead round asks of every other process. Each op has one
+/// hosting-side handler; every reply carries the process's activity
+/// counters, and a stats reply adds its recorder.
+enum class RoundOp : std::uint8_t {
+  kQuiesce,   // reply with the activity counters at probe time
+  kStats,     // + clock and recorder (end-of-window gather and live poll)
+  kReset,     // zero the recorder and mark the epoch, then reply
+  kShutdown,  // run over; reply once local threads are done
+};
+constexpr std::uint8_t kNumRoundOps = 4;
+
+struct RoundFrame {
+  RoundOp op = RoundOp::kQuiesce;
+  std::uint64_t seq = 0;
+  bool abort = false;  // kShutdown: the lead is unwinding an error
 };
 
-/// One rank's activity counters. The cluster is quiescent when, across two
-/// consecutive probe rounds, every rank reports identical counters with
-/// sum(wire_sent) == sum(wire_received) and enqueued == dispatched
+/// One process's activity counters. The cluster is quiescent when, across
+/// two consecutive probe rounds, every process reports identical counters
+/// with sum(wire_sent) == sum(wire_received) and enqueued == dispatched
 /// everywhere (counters are monotone, so any activity between the two
 /// probe rounds perturbs at least one of them).
-struct QuiesceReplyFrame {
-  std::uint64_t round = 0;
+struct Activity {
   std::uint64_t wire_sent = 0;      // data frames handed to the wire
   std::uint64_t wire_received = 0;  // data frames pushed into the mailbox
   std::uint64_t enqueued = 0;       // local mailbox pushes (self-sends too)
   std::uint64_t dispatched = 0;     // local handlers completed
+  bool operator==(const Activity&) const = default;
 };
 
-struct StatsRequestFrame {
-  std::uint64_t tag = 0;
-};
-
-struct StatsReplyFrame {
-  std::uint64_t tag = 0;
-  net::NodeId node = 0;
-  stats::Recorder recorder;
-};
-
-struct ResetStatsFrame {
-  std::uint64_t tag = 0;
-};
-
-struct ResetAckFrame {
-  std::uint64_t tag = 0;
-};
-
-struct ShutdownFrame {
-  bool abort = false;  // true: lead is unwinding an error, skip quiescence
-};
-
-struct ShutdownAckFrame {};
-
-/// Without this second phase a fast rank could close its sockets before a
-/// slow rank had even *received* the shutdown announcement — the slow
-/// rank's reader would see the EOF as a died peer. Closing only after
-/// every rank acked means every EOF lands on a rank that already knows
-/// the run is over.
-struct ShutdownDoneFrame {};
-
-/// Live-metrics sample request: unlike kStatsRequest (end-of-window gather
-/// at quiescence), polls fire mid-run on a timer and replies are best-
-/// effort snapshots — the live metrics plane, and the groundwork for rank
-/// heartbeating (a rank that stops answering polls is in trouble).
-struct StatsPollFrame {
+struct RoundReplyFrame {
+  RoundOp op = RoundOp::kQuiesce;
   std::uint64_t seq = 0;
-};
-
-struct StatsPollReplyFrame {
-  std::uint64_t seq = 0;
-  net::NodeId node = 0;
-  /// The replying rank's transport clock (ns since its epoch) at snapshot
-  /// time; consecutive replies give the lead a per-rank ops/s rate.
+  Activity activity;
+  /// kStats only (absent from the wire otherwise): the replying process's
+  /// transport clock (ns since its epoch) at snapshot time — consecutive
+  /// polls give the lead a per-process ops/s rate — and the merged
+  /// recorder of every rank it hosts.
   std::uint64_t now_ns = 0;
   stats::Recorder recorder;
 };
+
+/// Without this second phase a fast rank could close its sockets before a
+/// slow rank had even *received* the shutdown round — the slow rank's
+/// reader would see the EOF as a died peer. Closing only after every rank
+/// answered means every EOF lands on a rank that already knows the run is
+/// over.
+struct ShutdownDoneFrame {};
 
 /// Link-liveness probe, exchanged once per process pair on the reactor's
 /// periodic timer. The ack echoes both fields, so the prober computes the
@@ -232,17 +211,9 @@ Bytes Encode(const DataFrame&);
 Bytes Encode(const DeltaFrame&);
 Bytes Encode(const StartThreadFrame&);
 Bytes Encode(const ThreadDoneFrame&);
-Bytes Encode(const QuiesceProbeFrame&);
-Bytes Encode(const QuiesceReplyFrame&);
-Bytes Encode(const StatsRequestFrame&);
-Bytes Encode(const StatsReplyFrame&);
-Bytes Encode(const ResetStatsFrame&);
-Bytes Encode(const ResetAckFrame&);
-Bytes Encode(const ShutdownFrame&);
-Bytes Encode(const ShutdownAckFrame&);
+Bytes Encode(const RoundFrame&);
+Bytes Encode(const RoundReplyFrame&);
 Bytes Encode(const ShutdownDoneFrame&);
-Bytes Encode(const StatsPollFrame&);
-Bytes Encode(const StatsPollReplyFrame&);
 Bytes Encode(const HeartbeatFrame&);
 Bytes Encode(const HeartbeatAckFrame&);
 
@@ -285,17 +256,12 @@ bool TryDecode(ByteSpan frame, DeltaFrame* out, std::string* error);
 bool TryDecode(const Buf& frame, DeltaFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, StartThreadFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, ThreadDoneFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, QuiesceProbeFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, QuiesceReplyFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, StatsRequestFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, StatsReplyFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, ResetStatsFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, ResetAckFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, ShutdownFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, ShutdownAckFrame* out, std::string* error);
+/// Round decoders reject an out-of-range op; a reply carries its clock and
+/// recorder exactly when the op is kStats (a missing one is truncation,
+/// an extra one trailing garbage).
+bool TryDecode(ByteSpan frame, RoundFrame* out, std::string* error);
+bool TryDecode(ByteSpan frame, RoundReplyFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, ShutdownDoneFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, StatsPollFrame* out, std::string* error);
-bool TryDecode(ByteSpan frame, StatsPollReplyFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, HeartbeatFrame* out, std::string* error);
 bool TryDecode(ByteSpan frame, HeartbeatAckFrame* out, std::string* error);
 

@@ -685,7 +685,10 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
       Die("control frame from process " + std::to_string(group) +
           " but no control handler installed");
     }
-    control_handler_(PrimaryOf(group), frame.span());
+    if (!control_handler_(PrimaryOf(group), frame.span(), &error)) {
+      Die("malformed control frame from process " + std::to_string(group) +
+          ": " + error);
+    }
   }
 }
 

@@ -192,9 +192,11 @@ class SocketTransport final : public runtime::MailboxTransport {
 
   /// Control frames arrive here from reactor-thread context (serialized
   /// per peer process, concurrent across them), attributed to the remote
-  /// process's primary rank. Set before Start().
-  using ControlHandler =
-      std::function<void(net::NodeId src, ByteSpan frame)>;
+  /// process's primary rank. A handler that cannot decode the frame
+  /// returns false with a diagnostic, and the process dies naming the
+  /// sender like any other malformed peer frame. Set before Start().
+  using ControlHandler = std::function<bool(net::NodeId src, ByteSpan frame,
+                                            std::string* error)>;
   void SetControlHandler(ControlHandler handler);
 
   /// Invoked from reactor-thread context when a peer-process link fails

@@ -8,10 +8,11 @@
 //
 //   * runtime::ChannelTransport — the in-process threads backend: every
 //     cluster node lives in this process and has its own mailbox.
-//   * netio::SocketTransport — the multi-process sockets backend: exactly
-//     one node (this process's rank) is local; remote nodes are reached
-//     over TCP, and the reader threads feed received packets into the
-//     local mailbox.
+//   * netio::SocketTransport — the multi-process sockets backend: the
+//     consecutive ranks this process hosts are local, each with its own
+//     mailbox; ranks in other processes are reached over TCP (or a
+//     shared-memory ring), and the reactor threads feed received packets
+//     into the local mailboxes.
 //
 // The enqueued/dispatched counters cover every packet that enters a
 // *local* mailbox (self-sends included); `enqueued() == dispatched()` with

@@ -70,7 +70,7 @@ class Runtime {
   /// channel transport's feature — rejected here.
   Runtime(RuntimeOptions options, MailboxTransport& transport,
           std::vector<dsm::NodeId> local_nodes);
-  /// Single-rank convenience overload (one hosted node per process).
+  /// Convenience overload for a process that hosts one rank.
   Runtime(RuntimeOptions options, MailboxTransport& transport,
           dsm::NodeId local_node);
   ~Runtime();

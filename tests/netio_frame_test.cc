@@ -55,54 +55,59 @@ TEST(NetioFrame, ThreadDoneRoundTripCarriesErrorAndResult) {
   EXPECT_EQ(out.result, in.result);
 }
 
-TEST(NetioFrame, QuiesceReplyRoundTrip) {
-  const QuiesceReplyFrame out =
-      RoundTrip(QuiesceReplyFrame{7, 100, 99, 50, 50});
-  EXPECT_EQ(out.round, 7u);
-  EXPECT_EQ(out.wire_sent, 100u);
-  EXPECT_EQ(out.wire_received, 99u);
-  EXPECT_EQ(out.enqueued, 50u);
-  EXPECT_EQ(out.dispatched, 50u);
+RoundReplyFrame Reply(RoundOp op, std::uint64_t seq, Activity activity = {}) {
+  RoundReplyFrame f;
+  f.op = op;
+  f.seq = seq;
+  f.activity = activity;
+  return f;
 }
 
-TEST(NetioFrame, StatsReplyRoundTripsARecorder) {
-  StatsReplyFrame in;
-  in.tag = 1;
-  in.node = 2;
-  in.recorder.SetNodeCount(3);
+constexpr RoundOp kAllRoundOps[] = {RoundOp::kQuiesce, RoundOp::kStats,
+                                   RoundOp::kReset, RoundOp::kShutdown};
+
+TEST(NetioFrame, RoundRoundTripsEachOp) {
+  for (const RoundOp op : kAllRoundOps) {
+    for (const bool abort : {false, true}) {
+      const RoundFrame out = RoundTrip(RoundFrame{op, 77, abort});
+      EXPECT_EQ(out.op, op);
+      EXPECT_EQ(out.seq, 77u);
+      EXPECT_EQ(out.abort, abort);
+    }
+  }
+}
+
+TEST(NetioFrame, RoundReplyRoundTripsEachOp) {
+  for (const RoundOp op : kAllRoundOps) {
+    RoundReplyFrame in = Reply(op, 7, {100, 99, 50, 50});
+    in.now_ns = 123456789;
+    in.recorder.SetNodeCount(2);
+    in.recorder.Bump(stats::Ev::kMigrations, 5);
+    const RoundReplyFrame out = RoundTrip(in);
+    EXPECT_EQ(out.op, op);
+    EXPECT_EQ(out.seq, 7u);
+    EXPECT_EQ(out.activity, (Activity{100, 99, 50, 50}));
+    // Only a stats reply carries a clock and a recorder.
+    const bool stats = op == RoundOp::kStats;
+    EXPECT_EQ(out.now_ns, stats ? 123456789u : 0u);
+    EXPECT_EQ(out.recorder.Count(stats::Ev::kMigrations), stats ? 5u : 0u);
+  }
+}
+
+TEST(NetioFrame, StatsRoundReplyRoundTripsRecorderWithHistograms) {
+  RoundReplyFrame in = Reply(RoundOp::kStats, 9);
+  in.now_ns = 123456789;
+  in.recorder.SetNodeCount(4);
   in.recorder.RecordMessage(stats::MsgCat::kObj, 123);
   in.recorder.RecordSent(2, 123);
-  in.recorder.Bump(stats::Ev::kMigrations, 5);
-  const StatsReplyFrame out = RoundTrip(in);
-  EXPECT_EQ(out.node, 2u);
+  in.recorder.RecordRtt(stats::MsgCat::kObj, 1500);
+  in.recorder.RecordLatency(stats::Lat::kMailboxDwell, 250);
+  const RoundReplyFrame out = RoundTrip(in);
+  EXPECT_EQ(out.seq, 9u);
+  EXPECT_EQ(out.now_ns, 123456789u);
   EXPECT_EQ(out.recorder.Cat(stats::MsgCat::kObj).messages, 1u);
   EXPECT_EQ(out.recorder.Cat(stats::MsgCat::kObj).bytes, 123u);
   EXPECT_EQ(out.recorder.SentBy(2).messages, 1u);
-  EXPECT_EQ(out.recorder.Count(stats::Ev::kMigrations), 5u);
-}
-
-TEST(NetioFrame, ShutdownRoundTripCarriesAbort) {
-  EXPECT_TRUE(RoundTrip(ShutdownFrame{true}).abort);
-  EXPECT_FALSE(RoundTrip(ShutdownFrame{false}).abort);
-}
-
-TEST(NetioFrame, StatsPollRoundTrip) {
-  EXPECT_EQ(RoundTrip(StatsPollFrame{77}).seq, 77u);
-}
-
-TEST(NetioFrame, StatsPollReplyRoundTripsRecorderWithHistograms) {
-  StatsPollReplyFrame in;
-  in.seq = 9;
-  in.node = 3;
-  in.now_ns = 123456789;
-  in.recorder.SetNodeCount(4);
-  in.recorder.RecordMessage(stats::MsgCat::kObj, 64);
-  in.recorder.RecordRtt(stats::MsgCat::kObj, 1500);
-  in.recorder.RecordLatency(stats::Lat::kMailboxDwell, 250);
-  const StatsPollReplyFrame out = RoundTrip(in);
-  EXPECT_EQ(out.seq, 9u);
-  EXPECT_EQ(out.node, 3u);
-  EXPECT_EQ(out.now_ns, 123456789u);
   EXPECT_EQ(out.recorder.Rtt(stats::MsgCat::kObj).count(), 1u);
   EXPECT_EQ(out.recorder.Rtt(stats::MsgCat::kObj).max(), 1500u);
   EXPECT_EQ(out.recorder.Latency(stats::Lat::kMailboxDwell).count(), 1u);
@@ -145,9 +150,9 @@ TEST(NetioFrameDefense, TruncationIsAnErrorNotACrash) {
 }
 
 TEST(NetioFrameDefense, TrailingGarbageIsRejected) {
-  Bytes wire = Encode(QuiesceProbeFrame{3});
+  Bytes wire = Encode(RoundFrame{RoundOp::kQuiesce, 3, false});
   wire.push_back(0xAB);
-  QuiesceProbeFrame out;
+  RoundFrame out;
   std::string error;
   EXPECT_FALSE(TryDecode(ByteSpan(wire), &out, &error));
   EXPECT_NE(error.find("trailing"), std::string::npos);
@@ -182,13 +187,22 @@ TEST(NetioFrameDefense, OutOfRangeCategoryIsRejected) {
   EXPECT_NE(error.find("category"), std::string::npos);
 }
 
+/// The head of a stats round reply up to its recorder: op, seq, the four
+/// activity counters and the clock.
+Writer StatsReplyHead() {
+  Writer w;
+  w.u8(static_cast<std::uint8_t>(FrameType::kRoundReply));
+  w.u8(static_cast<std::uint8_t>(RoundOp::kStats));
+  w.u64(1);  // seq
+  for (int i = 0; i < 4; ++i) w.u64(0);  // activity counters
+  w.u64(0);  // now_ns
+  return w;
+}
+
 TEST(NetioFrameDefense, CorruptRecorderTableIsRejected) {
   // A hand-built stats reply whose recorder claims a 2^32-entry per-node
   // table: decode must fail before allocating anything of that size.
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(FrameType::kStatsReply));
-  w.u64(1);  // tag
-  w.u32(0);  // node
+  Writer w = StatsReplyHead();
   w.u8(3);   // recorder serde version (v3: + decision ledger, timeseries)
   w.u32(static_cast<std::uint32_t>(stats::kNumMsgCats));
   for (std::size_t i = 0; i < stats::kNumMsgCats; ++i) {
@@ -199,20 +213,18 @@ TEST(NetioFrameDefense, CorruptRecorderTableIsRejected) {
   for (std::size_t i = 0; i < stats::kNumEvs; ++i) w.u64(0);
   w.u32(0xFFFFFFFFu);  // hostile sent-by table size, no data behind it
   const Bytes wire = w.take();
-  StatsReplyFrame out;
+  RoundReplyFrame out;
   std::string error;
   EXPECT_FALSE(TryDecode(ByteSpan(wire), &out, &error));
 }
 
-TEST(NetioFrameDefense, StatsPollReplyTruncationIsAnErrorNotACrash) {
-  StatsPollReplyFrame in;
-  in.seq = 4;
-  in.node = 1;
+TEST(NetioFrameDefense, StatsReplyTruncationIsAnErrorNotACrash) {
+  RoundReplyFrame in = Reply(RoundOp::kStats, 4, {1, 2, 3, 4});
   in.recorder.SetNodeCount(2);
   in.recorder.RecordRtt(stats::MsgCat::kObj, 1000);
   const Bytes wire = Encode(in);
   for (std::size_t cut = 1; cut < wire.size(); ++cut) {
-    StatsPollReplyFrame out;
+    RoundReplyFrame out;
     std::string error;
     EXPECT_FALSE(
         TryDecode(ByteSpan(wire.data(), wire.size() - cut), &out, &error))
@@ -221,24 +233,44 @@ TEST(NetioFrameDefense, StatsPollReplyTruncationIsAnErrorNotACrash) {
   }
 }
 
-TEST(NetioFrameDefense, StatsPollTrailingGarbageIsRejected) {
-  Bytes wire = Encode(StatsPollFrame{1});
-  wire.push_back(0xAB);
-  StatsPollFrame out;
+TEST(NetioFrameDefense, OutOfRangeRoundOpIsRejected) {
+  Bytes round = Encode(RoundFrame{RoundOp::kShutdown, 1, true});
+  round[1] = kNumRoundOps;  // the op byte follows the type byte
+  RoundFrame out;
+  std::string error;
+  EXPECT_FALSE(TryDecode(ByteSpan(round), &out, &error));
+  EXPECT_NE(error.find("round op"), std::string::npos) << error;
+  Bytes reply = Encode(Reply(RoundOp::kQuiesce, 1));
+  reply[1] = 0xFF;
+  RoundReplyFrame reply_out;
+  EXPECT_FALSE(TryDecode(ByteSpan(reply), &reply_out, &error));
+  EXPECT_NE(error.find("round op"), std::string::npos) << error;
+}
+
+TEST(NetioFrameDefense, RecorderRidesOnlyOnStatsReplies) {
+  // A stats reply relabelled as a quiescence reply carries a recorder its
+  // op does not allow (trailing garbage); a quiescence reply relabelled as
+  // stats lacks one (truncation). Both are rejected.
+  RoundReplyFrame stats_reply = Reply(RoundOp::kStats, 1);
+  stats_reply.recorder.SetNodeCount(2);
+  Bytes wire = Encode(stats_reply);
+  wire[1] = static_cast<Byte>(RoundOp::kQuiesce);
+  RoundReplyFrame out;
   std::string error;
   EXPECT_FALSE(TryDecode(ByteSpan(wire), &out, &error));
-  EXPECT_NE(error.find("trailing"), std::string::npos);
+  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+  wire = Encode(Reply(RoundOp::kQuiesce, 1));
+  wire[1] = static_cast<Byte>(RoundOp::kStats);
+  error.clear();
+  EXPECT_FALSE(TryDecode(ByteSpan(wire), &out, &error));
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(NetioFrameDefense, HostileHistogramBucketCountIsRejected) {
-  // A poll reply whose recorder's first RTT histogram claims 255 occupied
+  // A stats reply whose recorder's first RTT histogram claims 255 occupied
   // buckets (the real maximum is 64): rejected at the bound, before the
   // decoder walks 255 phantom bucket entries.
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(FrameType::kStatsPollReply));
-  w.u64(1);  // seq
-  w.u32(0);  // node
-  w.u64(0);  // now_ns
+  Writer w = StatsReplyHead();
   w.u8(3);   // recorder serde version
   w.u32(static_cast<std::uint32_t>(stats::kNumMsgCats));
   for (std::size_t i = 0; i < stats::kNumMsgCats; ++i) {
@@ -255,7 +287,7 @@ TEST(NetioFrameDefense, HostileHistogramBucketCountIsRejected) {
   w.u64(1);    // max
   w.u8(0xFF);  // hostile occupied-bucket count
   const Bytes wire = w.take();
-  StatsPollReplyFrame out;
+  RoundReplyFrame out;
   std::string error;
   EXPECT_FALSE(TryDecode(ByteSpan(wire), &out, &error));
   EXPECT_NE(error.find("bucket"), std::string::npos);
@@ -271,8 +303,8 @@ TEST(NetioFrameBatch, RoundTripPreservesOrderAndBytes) {
   a.dst = 0;
   a.cat = stats::MsgCat::kObj;
   a.payload = Bytes{1, 2, 3};
-  const std::vector<Bytes> frames = {Encode(a), Encode(QuiesceProbeFrame{7}),
-                                     Encode(ShutdownAckFrame{})};
+  const std::vector<Bytes> frames = {Encode(a), Encode(StartThreadFrame{7}),
+                                     Encode(ShutdownDoneFrame{})};
   const Buf batch = Bytes(EncodeBatch(frames));
   std::vector<Buf> inner;
   std::string error;
@@ -293,7 +325,7 @@ TEST(NetioFrameBatch, DataPayloadDecodedFromABatchAliasesNoCopy) {
   DataFrame big;
   big.payload = Bytes(4096, Byte{0x5A});
   const Buf batch =
-      Bytes(EncodeBatch({Encode(big), Encode(QuiesceProbeFrame{1})}));
+      Bytes(EncodeBatch({Encode(big), Encode(StartThreadFrame{1})}));
   std::vector<Buf> inner;
   std::string error;
   ASSERT_TRUE(TryDecodeBatch(batch, &inner, &error)) << error;
@@ -305,8 +337,8 @@ TEST(NetioFrameBatch, DataPayloadDecodedFromABatchAliasesNoCopy) {
 }
 
 TEST(NetioFrameBatch, TruncatedInnerFrameIsRejected) {
-  Bytes wire = EncodeBatch({Encode(QuiesceProbeFrame{1}),
-                            Encode(QuiesceProbeFrame{2})});
+  Bytes wire = EncodeBatch({Encode(StartThreadFrame{1}),
+                            Encode(StartThreadFrame{2})});
   for (std::size_t cut = 1; cut < 12; ++cut) {
     const Buf cut_frame = Buf::Copy(ByteSpan(wire.data(), wire.size() - cut));
     std::vector<Buf> inner;
@@ -323,7 +355,7 @@ TEST(NetioFrameBatch, HostileCountIsRejectedBeforeAllocation) {
   w.u8(static_cast<std::uint8_t>(FrameType::kBatch));
   w.u32(0xFFFFFFFFu);
   w.u32(1);
-  w.u8(static_cast<std::uint8_t>(FrameType::kShutdownAck));
+  w.u8(static_cast<std::uint8_t>(FrameType::kShutdownDone));
   std::vector<Buf> inner;
   std::string error;
   EXPECT_FALSE(TryDecodeBatch(Buf(w.take()), &inner, &error));
@@ -337,8 +369,8 @@ TEST(NetioFrameBatch, DegenerateCountsAreRejected) {
     Writer w;
     w.u8(static_cast<std::uint8_t>(FrameType::kBatch));
     w.u32(count);
-    const Bytes ack = Encode(ShutdownAckFrame{});
-    for (std::uint32_t i = 0; i < count; ++i) w.bytes(ack);
+    const Bytes done = Encode(ShutdownDoneFrame{});
+    for (std::uint32_t i = 0; i < count; ++i) w.bytes(done);
     std::vector<Buf> inner;
     std::string error;
     EXPECT_FALSE(TryDecodeBatch(Buf(w.take()), &inner, &error))
@@ -347,8 +379,8 @@ TEST(NetioFrameBatch, DegenerateCountsAreRejected) {
 }
 
 TEST(NetioFrameBatch, TrailingGarbageIsRejected) {
-  Bytes wire = EncodeBatch({Encode(QuiesceProbeFrame{1}),
-                            Encode(QuiesceProbeFrame{2})});
+  Bytes wire = EncodeBatch({Encode(StartThreadFrame{1}),
+                            Encode(StartThreadFrame{2})});
   wire.push_back(0xAB);
   std::vector<Buf> inner;
   std::string error;
@@ -358,9 +390,9 @@ TEST(NetioFrameBatch, TrailingGarbageIsRejected) {
 
 TEST(NetioFrameBatch, NestedBatchIsRejected) {
   const Bytes inner_batch = EncodeBatch(
-      {Encode(QuiesceProbeFrame{1}), Encode(QuiesceProbeFrame{2})});
+      {Encode(StartThreadFrame{1}), Encode(StartThreadFrame{2})});
   const Bytes wire =
-      EncodeBatch({inner_batch, Encode(ShutdownAckFrame{})});
+      EncodeBatch({inner_batch, Encode(ShutdownDoneFrame{})});
   std::vector<Buf> inner;
   std::string error;
   EXPECT_FALSE(TryDecodeBatch(Buf(Bytes(wire)), &inner, &error));
@@ -372,7 +404,7 @@ TEST(NetioFrameBatch, InnerFrameWithNoValidTypeIsRejected) {
   w.u8(static_cast<std::uint8_t>(FrameType::kBatch));
   w.u32(2);
   w.u32(0);  // zero-length inner frame: no type byte at all
-  w.bytes(Encode(QuiesceProbeFrame{1}));  // big enough to pass count bound
+  w.bytes(Encode(StartThreadFrame{1}));  // big enough to pass count bound
   std::vector<Buf> inner;
   std::string error;
   EXPECT_FALSE(TryDecodeBatch(Buf(w.take()), &inner, &error));
@@ -673,6 +705,27 @@ TEST(NetioFrameDefense, SeededMutationsDecodeOrFailCleanly) {
   ack.shm_name = "/hmdsm-4-5-6";
   DataFrame data;
   data.payload = Bytes(12, Byte{7});
+  RoundReplyFrame stats_reply = Reply(RoundOp::kStats, 11, {5, 4, 3, 2});
+  stats_reply.now_ns = 987654321;
+  stats::Recorder& rec = stats_reply.recorder;
+  rec.SetNodeCount(3);
+  rec.RecordRtt(stats::MsgCat::kObj, 1500);
+  rec.RecordLatency(stats::Lat::kMailboxDwell, 250);
+  stats::Decision decision;
+  decision.obj = 42;
+  decision.migrate = true;
+  decision.destination = 2;
+  rec.RecordDecision(decision);
+  for (int i = 0; i < 3; ++i) {  // the first call only primes the cursor
+    rec.RecordMessage(stats::MsgCat::kObj, 64);
+    rec.SampleTimeseries(1, 1000 * (i + 1));
+  }
+  ASSERT_EQ(rec.Ledger().size(), 1u);
+  ASSERT_EQ(rec.Series().size(), 2u);
+  ThreadDoneFrame done;
+  done.seq = 6;
+  done.error = "boom";
+  done.result = Bytes{1, 2, 3};
   const std::vector<Case> cases = {
       {"hello", Encode(hello),
        [](const Bytes& b, std::string* e) {
@@ -693,6 +746,32 @@ TEST(NetioFrameDefense, SeededMutationsDecodeOrFailCleanly) {
        [](const Bytes& b, std::string* e) {
          DeltaFrame f;
          return TryDecode(Buf(Bytes(b)), &f, e);
+       }},
+      {"round", Encode(RoundFrame{RoundOp::kShutdown, 8, true}),
+       [](const Bytes& b, std::string* e) {
+         RoundFrame f;
+         return TryDecode(ByteSpan(b), &f, e);
+       }},
+      {"round_reply_quiesce",
+       Encode(Reply(RoundOp::kQuiesce, 9, {1, 2, 3, 4})),
+       [](const Bytes& b, std::string* e) {
+         RoundReplyFrame f;
+         return TryDecode(ByteSpan(b), &f, e);
+       }},
+      {"round_reply_stats", Encode(stats_reply),
+       [](const Bytes& b, std::string* e) {
+         RoundReplyFrame f;
+         return TryDecode(ByteSpan(b), &f, e);
+       }},
+      {"start_thread", Encode(StartThreadFrame{3}),
+       [](const Bytes& b, std::string* e) {
+         StartThreadFrame f;
+         return TryDecode(ByteSpan(b), &f, e);
+       }},
+      {"thread_done", Encode(done),
+       [](const Bytes& b, std::string* e) {
+         ThreadDoneFrame f;
+         return TryDecode(ByteSpan(b), &f, e);
        }},
       {"batch",
        EncodeBatch({Encode(data), Encode(MakeDelta(base, next)),

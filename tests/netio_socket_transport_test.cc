@@ -1,6 +1,7 @@
 // SocketTransport at the edges of a run's lifetime: a peer that speaks an
-// older protocol version at handshake, and a peer process that is gone
-// while the survivor is still shutting down and writing toward it.
+// older protocol version at handshake, a peer that sends a malformed
+// control frame, and a peer process that is gone while the survivor is
+// still shutting down and writing toward it.
 #include "src/netio/socket_transport.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/netio/coordinator.h"
+#include "src/runtime/runtime.h"
 #include "src/util/serde.h"
 
 namespace hmdsm::netio {
@@ -85,6 +88,35 @@ TEST(SocketTransportHandshake, RefusesAnOldProtocolVersionByName) {
         << what;
   }
   rank0.Stop();
+}
+
+// A control frame the coordinator cannot decode is a protocol violation
+// like any other malformed peer frame: the receiver dies naming the
+// sender, instead of letting the decode error escape the reactor thread.
+TEST(SocketTransportControl, MalformedControlFrameDiesNamingTheSender) {
+  EXPECT_DEATH(
+      {
+        TwoRankMesh mesh;
+        runtime::RuntimeOptions ro;
+        ro.nodes = 2;
+        SocketTransport t0(mesh.Options(0));
+        SocketTransport t1(mesh.Options(1));
+        runtime::Runtime rt0(ro, t0, 0);
+        runtime::Runtime rt1(ro, t1, 1);
+        Coordinator c0(t0, rt0, 0);
+        Coordinator c1(t1, rt1, 0);
+        t0.Start();
+        t1.Start();
+        t0.AwaitConnected();
+        t1.AwaitConnected();
+        RoundReplyFrame quiesce;
+        quiesce.seq = 1;
+        Bytes reply = Encode(quiesce);
+        reply.resize(reply.size() - 3);  // cut into the activity counters
+        t1.SendControl(0, reply);
+        std::this_thread::sleep_for(std::chrono::seconds(10));
+      },
+      "fatal: malformed control frame from process 1");
 }
 
 /// The survivor's half of the scenario below; returns its exit status.
