@@ -212,17 +212,61 @@ bool TryDecode(const Buf& frame, DeltaFrame* out, std::string* error) {
   });
 }
 
-Bytes EncodeBatch(const std::vector<Bytes>& frames) {
-  HMDSM_CHECK_MSG(frames.size() >= 2, "a batch coalesces at least 2 frames");
-  std::size_t total = 1 + 4;
-  for (const Bytes& f : frames) total += 4 + f.size();
-  Bytes out;
-  out.reserve(total);
-  Writer w(std::move(out));
-  w.u8(static_cast<std::uint8_t>(FrameType::kBatch));
-  w.u32(static_cast<std::uint32_t>(frames.size()));
-  for (const Bytes& f : frames) w.bytes(f);
-  return w.take();
+std::array<Byte, kRecordHeaderBytes> RecordHeader(std::size_t frame_bytes) {
+  const auto v = static_cast<std::uint32_t>(frame_bytes);
+  std::array<Byte, kRecordHeaderBytes> h;
+  for (std::size_t i = 0; i < h.size(); ++i)
+    h[i] = static_cast<Byte>(v >> (8 * i));
+  return h;
+}
+
+void AppendWireImage(std::vector<Bytes> frames, std::vector<Bytes>* segs) {
+  HMDSM_CHECK(!frames.empty());
+  auto prefix = [](std::size_t n) {
+    const auto h = RecordHeader(n);
+    return Bytes(h.begin(), h.end());
+  };
+  if (frames.size() == 1) {
+    segs->push_back(prefix(frames.front().size()));
+    segs->push_back(std::move(frames.front()));
+    return;
+  }
+  std::size_t inner = 1 + 4;  // type byte + count
+  for (const Bytes& f : frames) inner += kRecordHeaderBytes + f.size();
+  Writer head(prefix(inner));
+  head.u8(static_cast<std::uint8_t>(FrameType::kBatch));
+  head.u32(static_cast<std::uint32_t>(frames.size()));
+  segs->reserve(segs->size() + 1 + 2 * frames.size());
+  segs->push_back(head.take());
+  for (Bytes& f : frames) {
+    segs->push_back(prefix(f.size()));
+    segs->push_back(std::move(f));
+  }
+}
+
+RecordAssembler::Step RecordAssembler::Commit(std::size_t n, Buf* frame,
+                                              std::string* error) {
+  if (box_ == nullptr) {
+    head_got_ += n;
+    if (head_got_ < kRecordHeaderBytes) return Step::kMore;
+    std::uint32_t len = 0;
+    for (std::size_t i = 0; i < kRecordHeaderBytes; ++i)
+      len |= static_cast<std::uint32_t>(head_[i]) << (8 * i);
+    if (len == 0 || len > kMaxFrameBytes) {
+      failed_ = true;
+      *error = "frame length " + std::to_string(len) + " outside (0, " +
+               std::to_string(kMaxFrameBytes) + "]";
+      return Step::kBadLength;
+    }
+    box_ = pool_->Acquire(len);
+    got_ = 0;
+    return Step::kMore;
+  }
+  got_ += n;
+  if (got_ < box_->size()) return Step::kMore;
+  head_got_ = 0;
+  *frame = pool_->Wrap(std::move(box_));
+  return Step::kFrame;
 }
 
 bool TryDecodeBatch(const Buf& frame, std::vector<Buf>* out,

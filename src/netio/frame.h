@@ -1,29 +1,35 @@
-// Wire frames for the multi-process socket transport.
+// Wire frames for the multi-process socket transport, and the one owner of
+// every byte layout on a netio stream.
 //
-// Everything that crosses a socket is one length-prefixed frame:
+// Every netio byte stream — a TCP link's reactor reads and writes, a shared-
+// memory ring, the blocking handshake — carries the same records:
 //
-//     [u32 length][payload]        (little-endian, length = payload bytes)
+//     [u32 length][frame]        (little-endian, 0 < length <= kMaxFrameBytes)
 //
-// where payload[0] is the FrameType. Data frames carry one serialized DSM
-// protocol message (exactly the bytes the in-process transports deliver);
-// control frames carry the mesh handshake and the coordinator's
-// control-plane: remote thread start/completion and the lead's rounds
-// (distributed quiescence probes, stats gather and live polls, stats
-// reset, and the shutdown barrier).
+// RecordHeader() encodes the length prefix, AppendWireImage() lays queued
+// frames out as one record (coalescing a backlog into a Batch), and
+// RecordAssembler reassembles records from any byte source. frame[0] is the
+// FrameType. Data frames carry one serialized DSM protocol message (exactly
+// the bytes the in-process transports deliver); control frames carry the
+// mesh handshake and the coordinator's control-plane: remote thread
+// start/completion and the lead's rounds (distributed quiescence probes,
+// stats gather and live polls, stats reset, and the shutdown barrier).
 //
 // Peer input is untrusted: every decoder here returns false with a
 // diagnostic on truncated, oversized, out-of-range, or trailing-garbage
-// input, and the frame reader enforces a maximum frame length before
+// input, and the record assembler enforces the maximum frame length before
 // allocating. A malformed frame tears the connection down loudly — it
 // never becomes UB or an unbounded allocation.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/net/transport.h"
 #include "src/stats/stats.h"
+#include "src/util/bufpool.h"
 #include "src/util/bytes.h"
 #include "src/util/serde.h"
 
@@ -130,6 +136,12 @@ struct DeltaFrame {
   Buf diff;
 };
 
+/// Encoded bytes of a kData / kDelta frame beyond its payload / diff: the
+/// type byte, src, dst, cat and the u32 length, plus obj and base_seq for
+/// a delta.
+constexpr std::size_t kDataFrameOverhead = 14;
+constexpr std::size_t kDeltaFrameOverhead = 26;
+
 struct StartThreadFrame {
   std::uint64_t seq = 0;
 };
@@ -217,14 +229,23 @@ Bytes Encode(const ShutdownDoneFrame&);
 Bytes Encode(const HeartbeatFrame&);
 Bytes Encode(const HeartbeatAckFrame&);
 
-/// Coalesces several already-encoded frames into one Batch frame:
+/// Bytes of a record's length prefix.
+constexpr std::size_t kRecordHeaderBytes = 4;
+
+/// The length prefix of a record carrying a `frame_bytes`-byte frame.
+std::array<Byte, kRecordHeaderBytes> RecordHeader(std::size_t frame_bytes);
+
+/// Lays already-encoded `frames` (at least one) out as the wire image of one
+/// record, appended to `segs` as scatter segments in write order. A lone
+/// frame is a plain record; a backlog coalesces into one Batch record, so
+/// many small frames cost one wire write instead of one each:
 ///
-///     [kBatch][u32 count][u32 len, frame bytes] * count
+///     [u32 len][kBatch][u32 count] then per frame [u32 len][frame]
 ///
-/// The writer queues build these under load so many small frames cost one
-/// wire write (and one syscall) instead of count of them. Inner frames are
-/// complete frames (own type byte); a Batch may not nest.
-Bytes EncodeBatch(const std::vector<Bytes>& frames);
+/// Only the headers are fresh bytes — the frames are moved in, so batching
+/// never copies a payload. Inner frames keep their own type byte; a Batch
+/// may not nest.
+void AppendWireImage(std::vector<Bytes> frames, std::vector<Bytes>* segs);
 
 /// Defensively splits a Batch frame into aliased views of `frame` (zero
 /// copy — each inner frame Buf shares the batch buffer). Rejects: count of
@@ -233,6 +254,51 @@ Bytes EncodeBatch(const std::vector<Bytes>& frames);
 /// inner frames, nested batches, and trailing garbage.
 bool TryDecodeBatch(const Buf& frame, std::vector<Buf>* out,
                     std::string* error);
+
+/// Reassembles records from a byte stream that arrives in arbitrary pieces.
+/// The owner copies stream bytes straight into Window() — the rest of the
+/// length header, then a pooled buffer of exactly the frame's size — and
+/// reports each copy with Commit(). The length is checked once, before
+/// anything is allocated; a completed frame comes back as a Buf whose
+/// storage returns to the pool when its last view drops, so receiving
+/// neither copies a frame again nor allocates once the pool is warm.
+class RecordAssembler {
+ public:
+  enum class Step {
+    kMore,       // the record is not complete yet
+    kFrame,      // a frame is complete
+    kBadLength,  // length 0 or above kMaxFrameBytes; the stream is unframed
+  };
+
+  explicit RecordAssembler(BufferPool* pool) : pool_(pool) {}
+
+  /// Where the next stream bytes go. Never empty until a Commit returned
+  /// kBadLength, after which nothing more can be read from the stream.
+  MutByteSpan Window() {
+    if (box_ == nullptr)
+      return MutByteSpan(head_).subspan(head_got_);
+    return MutByteSpan(*box_).subspan(got_);
+  }
+
+  /// Accounts `n` bytes just copied into Window(). kFrame moves the frame
+  /// into `*frame`; kBadLength sets `*error` and is final (failed()).
+  Step Commit(std::size_t n, Buf* frame, std::string* error);
+
+  /// True between records: an end of stream here is a clean close.
+  bool idle() const { return head_got_ == 0; }
+  /// True while the length header is still incomplete.
+  bool in_header() const { return box_ == nullptr; }
+  /// A record length was rejected; no further record can be framed.
+  bool failed() const { return failed_; }
+
+ private:
+  BufferPool* pool_;
+  Byte head_[kRecordHeaderBytes] = {};
+  std::size_t head_got_ = 0;  // == kRecordHeaderBytes while filling box_
+  BufferPool::Box box_;       // null until the header is complete
+  std::size_t got_ = 0;
+  bool failed_ = false;
+};
 
 /// Reads the version word at the head of a Hello or HelloAck of type
 /// `expected` without decoding the rest. A peer speaking another version

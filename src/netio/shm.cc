@@ -13,8 +13,6 @@
 #include <cstring>
 #include <functional>
 
-#include "src/netio/frame.h"
-
 namespace hmdsm::netio {
 
 namespace {
@@ -104,6 +102,14 @@ void CopyIn(Byte* ring, std::uint64_t pos, const Byte* in, std::size_t n) {
   if (n > first) std::memcpy(ring, in + first, n - first);
 }
 
+/// Publishes the reader's cursor and wakes a writer parked on a full ring.
+void ReleaseSpace(RingHdr* rh, std::uint64_t head) {
+  rh->head.store(head, std::memory_order_release);
+  rh->space_db.fetch_add(1, std::memory_order_release);
+  if (rh->writer_waiting.load(std::memory_order_acquire) != 0)
+    FutexWake(&rh->space_db);
+}
+
 void Unmap(void* base, std::size_t bytes, int fd) {
   if (base != nullptr) munmap(base, bytes);
   if (fd >= 0) close(fd);
@@ -183,8 +189,7 @@ ShmTransport::ShmTransport(const ShmTransportOptions& options,
     : options_(options),
       name_(std::move(name)),
       own_(own),
-      peer_segs_(options.group_count),
-      rx_(options.group_count) {}
+      peer_segs_(options.group_count) {}
 
 ShmTransport::~ShmTransport() { Stop(); }
 
@@ -243,12 +248,7 @@ bool ShmTransport::WriteFrame(std::size_t peer_group, ByteSpan frame) {
   SegHdr* hdr = Hdr(seg.base);
   RingHdr* rh = Ring(seg.base, options_.self_group);
   Byte* data = RingData(seg.base, options_.group_count, options_.self_group);
-  Byte len4[4];
-  const std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-  len4[0] = static_cast<Byte>(len & 0xff);
-  len4[1] = static_cast<Byte>((len >> 8) & 0xff);
-  len4[2] = static_cast<Byte>((len >> 16) & 0xff);
-  len4[3] = static_cast<Byte>((len >> 24) & 0xff);
+  const auto header = RecordHeader(frame.size());
 
   // tail is ours alone (single-writer contract), so a relaxed read of our
   // own last store is exact.
@@ -290,7 +290,8 @@ bool ShmTransport::WriteFrame(std::size_t peer_group, ByteSpan frame) {
   // A false return mid-record leaves a torn record in the ring; it can
   // only happen when one side is already tearing down, and the caller
   // treats false as link death.
-  return push(len4, 4) && push(frame.data(), frame.size());
+  return push(header.data(), header.size()) &&
+         push(frame.data(), frame.size());
 }
 
 void ShmTransport::StartReader(FrameHandler on_frame, FatalHandler on_fatal,
@@ -298,7 +299,9 @@ void ShmTransport::StartReader(FrameHandler on_frame, FatalHandler on_fatal,
   on_frame_ = std::move(on_frame);
   on_fatal_ = std::move(on_fatal);
   ready_ = std::move(ready);
-  pool_ = pool;
+  rx_.reserve(options_.group_count);
+  for (std::size_t g = 0; g < options_.group_count; ++g)
+    rx_.emplace_back(pool);
   reader_started_ = true;
   reader_ = std::thread([this] { ReaderMain(); });
 }
@@ -313,61 +316,41 @@ bool ShmTransport::DrainRing(std::size_t g) {
   RingHdr* rh = Ring(own_.base, g);
   if (rh->attached.load(std::memory_order_acquire) == 0) return false;
   if (ready_ && !ready_(g)) return false;  // bytes wait in the ring
+  // A rejected record length leaves the ring unframed for good: it was
+  // reported once, and re-reading it on every pass would spin the reader.
+  RecordAssembler& rx = rx_[g];
+  if (rx.failed()) return false;
   const Byte* data = RingData(own_.base, options_.group_count, g);
-  RxState& st = rx_[g];
   std::uint64_t head = rh->head.load(std::memory_order_relaxed);
   const std::uint64_t tail = rh->tail.load(std::memory_order_acquire);
   if (head == tail) return false;
-  std::uint64_t avail = tail - head;
-  while (avail > 0) {
-    if (st.box == nullptr) {
-      // Accumulate the 4-byte record length (it can itself straddle
-      // drains and the wrap point).
-      const std::size_t take =
-          std::min<std::uint64_t>(4 - st.len_got, avail);
-      CopyOut(data, head, st.len + st.len_got, take);
-      head += take;
-      avail -= take;
-      st.len_got += take;
-      if (st.len_got < 4) break;
-      const std::uint32_t len = static_cast<std::uint32_t>(st.len[0]) |
-                                static_cast<std::uint32_t>(st.len[1]) << 8 |
-                                static_cast<std::uint32_t>(st.len[2]) << 16 |
-                                static_cast<std::uint32_t>(st.len[3]) << 24;
-      if (len == 0 || len > kMaxFrameBytes) {
-        rh->head.store(head, std::memory_order_release);
-        if (on_fatal_)
-          on_fatal_("shm ring from group " + std::to_string(g) +
-                    ": absurd record length " + std::to_string(len));
-        return true;
-      }
-      st.box = pool_->Acquire(len);
-      st.got = 0;
-    } else {
-      const std::size_t take =
-          std::min<std::uint64_t>(st.box->size() - st.got, avail);
-      CopyOut(data, head, st.box->data() + st.got, take);
-      head += take;
-      avail -= take;
-      st.got += take;
-      if (st.got == st.box->size()) {
+  while (head != tail) {
+    // Straight into the record's window: the header (which can straddle
+    // drains and the wrap point), then the pooled frame buffer.
+    const MutByteSpan window = rx.Window();
+    const std::size_t take =
+        std::min<std::uint64_t>(window.size(), tail - head);
+    CopyOut(data, head, window.data(), take);
+    head += take;
+    Buf frame;
+    std::string error;
+    switch (rx.Commit(take, &frame, &error)) {
+      case RecordAssembler::Step::kMore:
+        break;
+      case RecordAssembler::Step::kFrame:
         // Free the ring space before the (possibly slow) handler runs so a
         // blocked writer can make progress under it.
-        rh->head.store(head, std::memory_order_release);
-        rh->space_db.fetch_add(1, std::memory_order_release);
-        if (rh->writer_waiting.load(std::memory_order_acquire) != 0)
-          FutexWake(&rh->space_db);
-        on_frame_(g, pool_->Wrap(std::move(st.box)));
-        st.box = nullptr;
-        st.len_got = 0;
-        st.got = 0;
-      }
+        ReleaseSpace(rh, head);
+        on_frame_(g, std::move(frame));
+        break;
+      case RecordAssembler::Step::kBadLength:
+        ReleaseSpace(rh, head);
+        if (on_fatal_)
+          on_fatal_("shm ring from group " + std::to_string(g) + ": " + error);
+        return true;
     }
   }
-  rh->head.store(head, std::memory_order_release);
-  rh->space_db.fetch_add(1, std::memory_order_release);
-  if (rh->writer_waiting.load(std::memory_order_acquire) != 0)
-    FutexWake(&rh->space_db);
+  ReleaseSpace(rh, head);
   return true;
 }
 

@@ -12,12 +12,11 @@
 // the liveness plane still measures the real network path.
 //
 // Ring model: a pipe, not a slot array. Each ring is a fixed-capacity byte
-// stream carrying records of [u32 len][frame bytes], copied in and out
-// with wraparound. Streaming means a frame larger than the ring still
-// flows (writer fills, reader drains, repeat) — there is no oversize
-// fallback path that could reorder traffic, which is what makes the ring
-// the *single* FIFO data channel per direction and keeps the wire delta
-// caches in lockstep.
+// stream carrying frame.h's records, copied in and out with wraparound.
+// Streaming means a frame larger than the ring still flows (writer fills,
+// reader drains, repeat) — there is no oversize fallback path that could
+// reorder traffic, which is what makes the ring the *single* FIFO data
+// channel per direction and keeps the wire delta caches in lockstep.
 //
 // Synchronization: head/tail are release/acquire atomics in the mapped
 // region — they carry the happens-before for the plain-byte copies, so the
@@ -43,15 +42,15 @@
 #include <thread>
 #include <vector>
 
+#include "src/netio/frame.h"
 #include "src/util/bufpool.h"
 #include "src/util/bytes.h"
 
 namespace hmdsm::netio {
 
 /// Capacity of each inbound ring. A full ring blocks the writer briefly
-/// (the reader drains continuously), it never drops or reorders. Frames
-/// above kMaxFrameBytes are a protocol violation, the same bound the TCP
-/// reader enforces.
+/// (the reader drains continuously), it never drops or reorders. The
+/// record assembler (frame.h) bounds record lengths like on a TCP link.
 constexpr std::size_t kShmRingBytes = 256 * 1024;
 
 struct ShmTransportOptions {
@@ -95,7 +94,8 @@ class ShmTransport {
   /// One decoded inbound frame: the writer process's group and the frame
   /// bytes (storage recycled through `pool`).
   using FrameHandler = std::function<void(std::size_t src_group, Buf frame)>;
-  /// An unrecoverable ring violation (bad record length). The transport
+  /// An unrecoverable ring violation (bad record length), reported once per
+  /// ring: the reader stops draining that ring for good. The transport
   /// treats it like a malformed TCP frame: fatal.
   using FatalHandler = std::function<void(const std::string& why)>;
   /// Per-ring drain gate: the reader leaves ring `g`'s bytes in place until
@@ -125,13 +125,6 @@ class ShmTransport {
     std::size_t bytes = 0;
     int fd = -1;
   };
-  /// Per-ring reader state: a record may arrive across many drains.
-  struct RxState {
-    Byte len[4] = {};
-    std::size_t len_got = 0;
-    BufferPool::Box box;  // null until the length header completes
-    std::size_t got = 0;
-  };
 
   ShmTransport(const ShmTransportOptions& options, std::string name,
                Mapping own);
@@ -143,7 +136,8 @@ class ShmTransport {
   std::string name_;
   Mapping own_;                     // this process's inbound segment
   std::vector<Mapping> peer_segs_;  // [g] = peer g's segment (tx direction)
-  std::vector<RxState> rx_;
+  /// [g] = ring g's record stream; a record may arrive across many drains.
+  std::vector<RecordAssembler> rx_;
   std::atomic<bool> stopping_{false};
   bool reader_started_ = false;
   bool stopped_ = false;
@@ -151,7 +145,6 @@ class ShmTransport {
   FrameHandler on_frame_;
   FatalHandler on_fatal_;
   RingGate ready_;
-  BufferPool* pool_ = nullptr;
 };
 
 }  // namespace hmdsm::netio

@@ -13,6 +13,8 @@
 #include <cstring>
 #include <thread>
 
+#include "src/netio/frame.h"
+
 namespace hmdsm::netio {
 
 namespace {
@@ -40,30 +42,6 @@ bool WriteAll(int fd, const Byte* p, std::size_t n, std::string* error) {
     n -= static_cast<std::size_t>(w);
   }
   return true;
-}
-
-/// Returns 1 on success, 0 on immediate EOF, -1 on error or EOF mid-read.
-int ReadAll(int fd, Byte* p, std::size_t n, std::string* error) {
-  bool any = false;
-  while (n > 0) {
-    const ssize_t r = ::recv(fd, p, n, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (error != nullptr) *error = Errno("recv");
-      return -1;
-    }
-    if (r == 0) {
-      if (any) {
-        if (error != nullptr) *error = "connection closed mid-frame";
-        return -1;
-      }
-      return 0;
-    }
-    any = true;
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
-  return 1;
 }
 
 }  // namespace
@@ -238,35 +216,39 @@ Fd DialWithRetry(const std::string& endpoint, int timeout_ms,
 }
 
 bool WriteFrame(int fd, ByteSpan frame, std::string* error) {
-  Byte len[4];
-  const auto n = static_cast<std::uint32_t>(frame.size());
-  for (int i = 0; i < 4; ++i) len[i] = static_cast<Byte>(n >> (8 * i));
-  if (!WriteAll(fd, len, sizeof len, error)) return false;
-  return WriteAll(fd, frame.data(), frame.size(), error);
+  const auto header = RecordHeader(frame.size());
+  return WriteAll(fd, header.data(), header.size(), error) &&
+         WriteAll(fd, frame.data(), frame.size(), error);
 }
 
-bool ReadFrame(int fd, Bytes* out, std::uint32_t max_frame_bytes,
-               std::string* error) {
-  if (error != nullptr) error->clear();
-  Byte len[4];
-  const int rc = ReadAll(fd, len, sizeof len, error);
-  if (rc <= 0) return false;  // clean EOF leaves error empty
-  std::uint32_t n = 0;
-  for (int i = 0; i < 4; ++i) n |= static_cast<std::uint32_t>(len[i]) << (8 * i);
-  if (n == 0 || n > max_frame_bytes) {
-    if (error != nullptr) {
-      *error = "frame length " + std::to_string(n) +
-               " outside (0, " + std::to_string(max_frame_bytes) + "]";
+bool ReadFrame(int fd, Buf* out, std::string* error) {
+  error->clear();
+  // A handshake reads one record, so the pool only lends the frame its
+  // buffer; the record reader stops at the record's end and leaves every
+  // later byte in the socket for the reactor.
+  BufferPool pool;
+  RecordAssembler rx(&pool);
+  for (;;) {
+    const MutByteSpan window = rx.Window();
+    const ssize_t r = ::recv(fd, window.data(), window.size(), 0);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      *error = Errno("recv");
+      return false;
     }
-    return false;
+    if (r == 0) {  // a clean EOF at a record boundary leaves error empty
+      if (!rx.idle()) *error = "connection closed mid-frame";
+      return false;
+    }
+    switch (rx.Commit(static_cast<std::size_t>(r), out, error)) {
+      case RecordAssembler::Step::kMore:
+        break;
+      case RecordAssembler::Step::kFrame:
+        return true;
+      case RecordAssembler::Step::kBadLength:
+        return false;
+    }
   }
-  out->resize(n);
-  if (ReadAll(fd, out->data(), n, error) != 1) {
-    if (error != nullptr && error->empty())
-      *error = "connection closed mid-frame";
-    return false;
-  }
-  return true;
 }
 
 }  // namespace hmdsm::netio

@@ -1,11 +1,9 @@
 // Thin POSIX TCP helpers for the socket transport: RAII descriptors,
-// listen/dial (with retry, for mesh bring-up races), and framed I/O.
-//
-// Framing is [u32 length][payload] (little-endian). ReadFrame enforces a
-// maximum length *before* allocating, so a hostile or corrupt peer cannot
-// drive an unbounded allocation; every failure path returns an error
-// string instead of crashing — the caller decides whether a failed read is
-// a protocol violation or an expected end-of-run EOF.
+// listen/dial (with retry, for mesh bring-up races), and the blocking
+// record I/O of the mesh handshake. The record format and its length bound
+// live in frame.h; every failure path returns an error string instead of
+// crashing — the caller decides whether a failed read is a protocol
+// violation or an expected end-of-run EOF.
 #pragma once
 
 #include <cstdint>
@@ -66,15 +64,14 @@ void SetRecvTimeout(int fd, int ms);
 /// fcntl failure.
 bool SetNonBlocking(int fd);
 
-/// Writes the length prefix plus the payload; false + error on failure.
+/// Writes `frame` as one record (frame.h); false + error on failure.
 bool WriteFrame(int fd, ByteSpan frame, std::string* error);
 
-/// Reads one frame. Returns:
-///   * true  — `*out` holds the payload;
-///   * false with empty error — clean EOF at a frame boundary;
-///   * false with non-empty error — short read, I/O error, or a length
-///     above `max_frame_bytes` (rejected before allocation).
-bool ReadFrame(int fd, Bytes* out, std::uint32_t max_frame_bytes,
-               std::string* error);
+/// Reads one record. Returns:
+///   * true  — `*out` holds the frame;
+///   * false with empty error — clean EOF at a record boundary;
+///   * false with non-empty error — short read, I/O error, or a length the
+///     record assembler rejects (before allocating).
+bool ReadFrame(int fd, Buf* out, std::string* error);
 
 }  // namespace hmdsm::netio

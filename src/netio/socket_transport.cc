@@ -34,17 +34,6 @@ constexpr std::uint64_t kTimerTag = ~std::uint64_t{0} - 1;
 constexpr int kMaxIovPerWrite = 192;
 static_assert(1 + 2 * kMaxBatchFrames <= kMaxIovPerWrite);
 
-Bytes LenPrefix(std::size_t n) {
-  Bytes b(4);
-  const auto v = static_cast<std::uint32_t>(n);
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<Byte>(v >> (8 * i));
-  return b;
-}
-
-void AppendU32(Bytes& b, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) b.push_back(static_cast<Byte>(v >> (8 * i)));
-}
-
 /// Per-link delta-cache key: destination rank and object id mixed into one
 /// word. A collision is harmless, not just unlikely: both ends compute the
 /// same key from the same frame fields, so colliding objects overwrite the
@@ -54,12 +43,6 @@ std::uint64_t DeltaKey(net::NodeId dst, std::uint64_t obj) {
   return obj ^ (static_cast<std::uint64_t>(dst) * 0x9E3779B97F4A7C15ULL);
 }
 
-/// Encoded-frame bytes beyond the payload/diff (the shared 4-byte length
-/// prefix cancels out): kData is type+src+dst+cat+len = 14, kDelta adds
-/// obj+base_seq = 26. A delta goes out only when it is *strictly* smaller
-/// than the full frame it replaces.
-constexpr std::size_t kDataFrameOverhead = 14;
-constexpr std::size_t kDeltaFrameOverhead = 26;
 
 }  // namespace
 
@@ -86,7 +69,8 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
     local_ranks_.push_back(static_cast<net::NodeId>(options_.rank + i));
   mailboxes_.resize(local_count);
   handlers_.resize(local_count);
-  peers_.resize(group_count_);
+  for (std::size_t g = 0; g < group_count_; ++g)
+    peers_.emplace_back(&rx_pool_);
   for (stats::Recorder& r : recorders_) r.SetNodeCount(n);
 }
 
@@ -222,16 +206,16 @@ void SocketTransport::ConnectorMain() {
       FailConnect("hello to process " + std::to_string(g) + ": " + error);
       return;
     }
-    Bytes reply;
+    Buf reply;
     SetRecvTimeout(fd.get(), kConnectTimeoutMs);
-    if (!ReadFrame(fd.get(), &reply, kMaxFrameBytes, &error)) {
+    if (!ReadFrame(fd.get(), &reply, &error)) {
       FailConnect("hello-ack from process " + std::to_string(g) + ": " +
                   (error.empty() ? "connection closed" : error));
       return;
     }
     SetRecvTimeout(fd.get(), 0);
     std::uint32_t version = 0;
-    if (PeekVersion(ByteSpan(reply), FrameType::kHelloAck, &version) &&
+    if (PeekVersion(reply.span(), FrameType::kHelloAck, &version) &&
         version != kProtocolVersion) {
       FailConnect("process " + std::to_string(g) +
                   " speaks protocol version " + std::to_string(version) +
@@ -239,7 +223,7 @@ void SocketTransport::ConnectorMain() {
       return;
     }
     HelloAckFrame ack;
-    if (!TryDecode(ByteSpan(reply), &ack, &error) || ack.node != primary) {
+    if (!TryDecode(reply.span(), &ack, &error) || ack.node != primary) {
       FailConnect("bad hello-ack from process " + std::to_string(g) + ": " +
                   error);
       return;
@@ -260,9 +244,9 @@ void SocketTransport::ConnectorMain() {
       FailConnect("accept: " + error);
       return;
     }
-    Bytes hello_bytes;
+    Buf hello_bytes;
     SetRecvTimeout(fd.get(), kConnectTimeoutMs);
-    if (!ReadFrame(fd.get(), &hello_bytes, kMaxFrameBytes, &error)) {
+    if (!ReadFrame(fd.get(), &hello_bytes, &error)) {
       FailConnect("hello read: " +
                   (error.empty() ? "connection closed" : error));
       return;
@@ -271,14 +255,14 @@ void SocketTransport::ConnectorMain() {
     // The version goes first: another version may lay out the rest of
     // the Hello differently, and must be refused by name.
     std::uint32_t version = 0;
-    if (PeekVersion(ByteSpan(hello_bytes), FrameType::kHello, &version) &&
+    if (PeekVersion(hello_bytes.span(), FrameType::kHello, &version) &&
         version != kProtocolVersion) {
       FailConnect("peer speaks protocol version " + std::to_string(version) +
                   ", expected " + std::to_string(kProtocolVersion));
       return;
     }
     HelloFrame hello;
-    if (!TryDecode(ByteSpan(hello_bytes), &hello, &error)) {
+    if (!TryDecode(hello_bytes.span(), &hello, &error)) {
       FailConnect("bad hello: " + error);
       return;
     }
@@ -531,82 +515,40 @@ void SocketTransport::UpdateEpoll(IoThread& t, Peer& peer, std::size_t group,
 
 void SocketTransport::HandleReadable(IoThread& t, std::size_t group) {
   Peer& peer = peers_[group];
-  const int fd = peer.fd.get();
   for (;;) {
-    if (peer.head_got < 4) {
-      const ssize_t r = ::recv(fd, peer.head + peer.head_got,
-                               4 - peer.head_got, 0);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (shutting_down_.load(std::memory_order_acquire)) {
-          peer.read_open = false;
-          UpdateEpoll(t, peer, group, (peer.armed & EPOLLOUT) != 0);
-          return;
-        }
-        MarkPeerDown(t, group,
-                     std::string("read error: ") + std::strerror(errno));
-        return;
+    const MutByteSpan window = peer.rx.Window();
+    const ssize_t r = ::recv(peer.fd.get(), window.data(), window.size(), 0);
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (r <= 0) {
+      const std::string why =
+          r < 0 ? std::string("read error: ") + std::strerror(errno)
+          : peer.rx.idle()     ? "closed its connection mid-run"
+          : peer.rx.in_header() ? "eof inside a frame header"
+                                : "eof inside a frame";
+      if (shutting_down_.load(std::memory_order_acquire)) {
+        peer.read_open = false;
+        UpdateEpoll(t, peer, group, (peer.armed & EPOLLOUT) != 0);
+      } else {
+        MarkPeerDown(t, group, why);
       }
-      if (r == 0) {
-        if (shutting_down_.load(std::memory_order_acquire)) {
-          peer.read_open = false;
-          UpdateEpoll(t, peer, group, (peer.armed & EPOLLOUT) != 0);
-          return;
-        }
-        MarkPeerDown(t, group,
-                     peer.head_got == 0
-                         ? "closed its connection mid-run"
-                         : "eof inside a frame header");
-        return;
-      }
-      peer.last_heard_ns.store(Now(), std::memory_order_release);
-      peer.head_got += static_cast<std::size_t>(r);
-      if (peer.head_got < 4) continue;
-      std::uint32_t len = 0;
-      for (int i = 0; i < 4; ++i)
-        len |= static_cast<std::uint32_t>(peer.head[i]) << (8 * i);
-      if (len == 0 || len > kMaxFrameBytes) {
-        Die("frame length " + std::to_string(len) + " from process " +
-            std::to_string(group));
-      }
-      peer.in_box = rx_pool_.Acquire(len);
-      peer.in_got = 0;
-    } else {
-      const std::size_t want = peer.in_box->size() - peer.in_got;
-      const ssize_t r = ::recv(fd, peer.in_box->data() + peer.in_got, want,
-                               0);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (shutting_down_.load(std::memory_order_acquire)) {
-          peer.read_open = false;
-          UpdateEpoll(t, peer, group, (peer.armed & EPOLLOUT) != 0);
-          return;
-        }
-        MarkPeerDown(t, group,
-                     std::string("read error: ") + std::strerror(errno));
-        return;
-      }
-      if (r == 0) {
-        if (shutting_down_.load(std::memory_order_acquire)) {
-          peer.read_open = false;
-          UpdateEpoll(t, peer, group, (peer.armed & EPOLLOUT) != 0);
-          return;
-        }
-        MarkPeerDown(t, group, "eof inside a frame");
-        return;
-      }
-      peer.last_heard_ns.store(Now(), std::memory_order_release);
-      peer.in_got += static_cast<std::size_t>(r);
-      if (peer.in_got < peer.in_box->size()) continue;
-      peer.head_got = 0;
-      // One pooled Buf owns the received frame; data payloads (and batched
-      // inner frames) are handed out as aliased views of it, never copied
-      // again, and the storage returns to the pool when the last view
-      // drops.
-      HandleFrame(group, rx_pool_.Wrap(std::move(peer.in_box)),
-                  /*allow_batch=*/true);
+      return;
+    }
+    peer.last_heard_ns.store(Now(), std::memory_order_release);
+    // One pooled Buf owns each received frame; data payloads (and batched
+    // inner frames) are handed out as aliased views of it, never copied
+    // again, and the storage returns to the pool when the last view drops.
+    Buf frame;
+    std::string error;
+    switch (peer.rx.Commit(static_cast<std::size_t>(r), &frame, &error)) {
+      case RecordAssembler::Step::kMore:
+        break;
+      case RecordAssembler::Step::kFrame:
+        HandleFrame(group, frame, /*allow_batch=*/true);
+        break;
+      case RecordAssembler::Step::kBadLength:
+        Die("bad record from process " + std::to_string(group) + ": " +
+            error);
     }
   }
 }
@@ -618,31 +560,12 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
   if (!PeekType(frame.span(), &type)) {
     Die("unknown frame type from process " + std::to_string(group));
   }
-  if (type == FrameType::kData) {
-    DataFrame data;
-    if (!TryDecode(frame, &data, &error)) {
-      Die("malformed data frame from process " + std::to_string(group) +
-          ": " + error);
-    }
-    if (data.src >= options_.peers.size() || GroupOf(data.src) != group ||
-        !is_local(data.dst)) {
-      Die("misrouted data frame from process " + std::to_string(group) +
-          " (claims " + std::to_string(data.src) + "->" +
-          std::to_string(data.dst) + ")");
-    }
-    // Mirror the sender's tx-cache op for this frame (lockstep invariant,
-    // see delta.h) before the payload is moved into the packet.
-    NoteRxData(peers_[group], data);
+  if (type == FrameType::kData || type == FrameType::kDelta) {
+    net::Packet packet = type == FrameType::kData
+                             ? ReceiveData(group, frame)
+                             : ReceiveDelta(group, frame);
     wire_received_.fetch_add(1, std::memory_order_acq_rel);
-    // Count before the push, exactly like the channel transport: once the
-    // dispatcher can see the packet, enqueued() must already cover it.
-    enqueued_.fetch_add(1, std::memory_order_acq_rel);
-    net::Packet packet{data.src, data.dst, data.cat,
-                       std::move(data.payload)};
-    packet.enqueued_at = Now();
-    mailboxes_[data.dst - options_.rank].Push(std::move(packet));
-  } else if (type == FrameType::kDelta) {
-    HandleDelta(group, frame);
+    Deliver(std::move(packet));
   } else if (type == FrameType::kBatch) {
     std::vector<Buf> inner;
     if (!allow_batch || !TryDecodeBatch(frame, &inner, &error)) {
@@ -660,8 +583,8 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
     // Echo both fields back; the prober computes RTT against its own
     // clock. Shutdown may already have closed the queue — dropping the
     // ack then is harmless, the prober is unwinding too.
-    TryEnqueueFrame(PrimaryOf(group),
-                    Encode(HeartbeatAckFrame{hb.seq, hb.send_ns}));
+    EnqueueFrame(group, Encode(HeartbeatAckFrame{hb.seq, hb.send_ns}),
+                 /*forgiving=*/true);
   } else if (type == FrameType::kHeartbeatAck) {
     HeartbeatAckFrame ack;
     if (!TryDecode(frame.span(), &ack, &error)) {
@@ -692,19 +615,42 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
   }
 }
 
-void SocketTransport::HandleDelta(std::size_t group, const Buf& frame) {
+net::Packet SocketTransport::ReceiveData(std::size_t group,
+                                         const Buf& frame) {
+  std::string error;
+  DataFrame data;
+  if (!TryDecode(frame, &data, &error)) {
+    Die("malformed data frame from process " + std::to_string(group) +
+        ": " + error);
+  }
+  CheckRoute(group, data.src, data.dst, "data");
+  // Mirror the sender's tx-cache op for this frame (the lockstep
+  // invariant, see delta.h).
+  proto::Kind kind;
+  std::uint64_t obj;
+  if (proto::PeekKindObject(data.payload.span(), &kind, &obj)) {
+    DeltaCache& cache = peers_[group].rx_cache;
+    const std::uint64_t key = DeltaKey(data.dst, obj);
+    if (kind == proto::Kind::kMigrateReply) {
+      // Mirrors the sender's Erase: the home moved, so the next version of
+      // this object arrives from a different process with a fresh cache.
+      cache.Erase(key);
+    } else if (kind == proto::Kind::kObjReply || kind == proto::Kind::kDiff) {
+      cache.Store(key, data.payload);
+    }
+  }
+  return net::Packet{data.src, data.dst, data.cat, std::move(data.payload)};
+}
+
+net::Packet SocketTransport::ReceiveDelta(std::size_t group,
+                                          const Buf& frame) {
   std::string error;
   DeltaFrame df;
   if (!TryDecode(frame, &df, &error)) {
     Die("malformed delta frame from process " + std::to_string(group) +
         ": " + error);
   }
-  if (df.src >= options_.peers.size() || GroupOf(df.src) != group ||
-      !is_local(df.dst)) {
-    Die("misrouted delta frame from process " + std::to_string(group) +
-        " (claims " + std::to_string(df.src) + "->" +
-        std::to_string(df.dst) + ")");
-  }
+  CheckRoute(group, df.src, df.dst, "delta");
   Peer& peer = peers_[group];
   // Rebuild the full payload against the mirrored base. Any mismatch here
   // is a protocol bug — the lockstep invariant (delta.h) guarantees the
@@ -725,25 +671,25 @@ void SocketTransport::HandleDelta(std::size_t group, const Buf& frame) {
   }
   Buf payload(std::move(rebuilt));
   peer.rx_cache.Advance(key, payload, df.base_seq + 1);
-  wire_received_.fetch_add(1, std::memory_order_acq_rel);
-  enqueued_.fetch_add(1, std::memory_order_acq_rel);
-  net::Packet packet{df.src, df.dst, df.cat, std::move(payload)};
-  packet.enqueued_at = Now();
-  mailboxes_[df.dst - options_.rank].Push(std::move(packet));
+  return net::Packet{df.src, df.dst, df.cat, std::move(payload)};
 }
 
-void SocketTransport::NoteRxData(Peer& peer, const DataFrame& data) {
-  proto::Kind kind;
-  std::uint64_t obj;
-  if (!proto::PeekKindObject(data.payload.span(), &kind, &obj)) return;
-  const std::uint64_t key = DeltaKey(data.dst, obj);
-  if (kind == proto::Kind::kMigrateReply) {
-    // Mirrors the sender's Erase: the home moved, so the next version of
-    // this object arrives from a different process with a fresh cache.
-    peer.rx_cache.Erase(key);
-  } else if (kind == proto::Kind::kObjReply || kind == proto::Kind::kDiff) {
-    peer.rx_cache.Store(key, data.payload);
+void SocketTransport::CheckRoute(std::size_t group, net::NodeId src,
+                                 net::NodeId dst, const char* kind) const {
+  if (src >= options_.peers.size() || GroupOf(src) != group ||
+      !is_local(dst)) {
+    Die(std::string("misrouted ") + kind + " frame from process " +
+        std::to_string(group) + " (claims " + std::to_string(src) + "->" +
+        std::to_string(dst) + ")");
   }
+}
+
+void SocketTransport::Deliver(net::Packet packet) {
+  // Count before the push, exactly like the channel transport: once the
+  // dispatcher can see the packet, enqueued() must already cover it.
+  enqueued_.fetch_add(1, std::memory_order_acq_rel);
+  packet.enqueued_at = Now();
+  mailboxes_[packet.dst - options_.rank].Push(std::move(packet));
 }
 
 void SocketTransport::OnTimer(IoThread& t) {
@@ -757,7 +703,7 @@ void SocketTransport::OnTimer(IoThread& t) {
       continue;
     const HeartbeatFrame hb{++peer.hb_seq,
                             static_cast<std::uint64_t>(Now())};
-    if (TryEnqueueFrame(PrimaryOf(g), Encode(hb)))
+    if (EnqueueFrame(g, Encode(hb), /*forgiving=*/true))
       peer.hb_sent.fetch_add(1, std::memory_order_acq_rel);
   }
 }
@@ -825,32 +771,8 @@ bool SocketTransport::BuildNextWrite(Peer& peer) {
   peer.out_segs.clear();
   peer.out_seg = 0;
   peer.out_off = 0;
-  if (frames.size() == 1) {
-    peer.out_segs.reserve(2);
-    peer.out_segs.push_back(LenPrefix(frames.front().size()));
-    peer.out_segs.push_back(std::move(frames.front()));
-    peer.out_frames = 1;
-    peer.out_batched = false;
-  } else {
-    // The Batch wire image ([u32 len][kBatch][u32 count] then per frame
-    // [u32 len][frame]) emitted as scatter segments: the header and the
-    // per-frame prefixes are fresh bytes, the frames themselves are moved
-    // — batching never copies a payload (see frame.h EncodeBatch for the
-    // layout the receiver decodes).
-    std::size_t inner = 1 + 4;
-    for (const Bytes& f : frames) inner += 4 + f.size();
-    Bytes head = LenPrefix(inner);
-    head.push_back(static_cast<Byte>(FrameType::kBatch));
-    AppendU32(head, static_cast<std::uint32_t>(frames.size()));
-    peer.out_segs.reserve(1 + 2 * frames.size());
-    peer.out_segs.push_back(std::move(head));
-    for (Bytes& f : frames) {
-      peer.out_segs.push_back(LenPrefix(f.size()));
-      peer.out_segs.push_back(std::move(f));
-    }
-    peer.out_frames = frames.size();
-    peer.out_batched = true;
-  }
+  peer.out_frames = frames.size();
+  AppendWireImage(std::move(frames), &peer.out_segs);
   peer.out_active = true;
   return true;
 }
@@ -918,7 +840,7 @@ void SocketTransport::FlushPeer(IoThread& t, std::size_t group) {
     if (peer.out_seg == peer.out_segs.size()) {
       Counter(stats::Ev::kSocketWrites)
           .fetch_add(1, std::memory_order_acq_rel);
-      if (peer.out_batched) {
+      if (peer.out_frames > 1) {
         Counter(stats::Ev::kWireFramesCoalesced)
             .fetch_add(peer.out_frames, std::memory_order_acq_rel);
       }
@@ -947,47 +869,37 @@ void SocketTransport::KickPeer(std::size_t group) {
       ::write(io_[peer.io_thread].wake.get(), &one, sizeof one);
 }
 
-void SocketTransport::EnqueueFrame(net::NodeId dst, Bytes frame) {
-  HMDSM_CHECK(dst < options_.peers.size());
-  const std::size_t g = GroupOf(dst);
-  HMDSM_CHECK(g != group_);
-  Peer& peer = peers_[g];
+template <typename EncodeFn>
+bool SocketTransport::Enqueue(std::size_t group, bool forgiving,
+                              EncodeFn&& encode) {
+  Peer& peer = peers_[group];
   {
     std::lock_guard lock(peer.mu);
-    if (peer.down.load(std::memory_order_acquire)) {
-      // The link is retired: queueing would grow forever and abort here
+    if (peer.down.load(std::memory_order_acquire) ||
+        (forgiving && peer.closed)) {
+      // The link is retired: queueing would grow forever and aborting
       // would kill the survivor — drop, count, and let the coordinator's
       // liveness plane do the reporting.
       peer.frames_dropped.fetch_add(1, std::memory_order_acq_rel);
-      return;
-    }
-    HMDSM_CHECK_MSG(!peer.closed, "send to rank " << dst << " after Stop()");
-    peer.queue_bytes += frame.size();
-    peer.queue.push_back(std::move(frame));
-  }
-  Counter(stats::Ev::kWireFramesEnqueued)
-      .fetch_add(1, std::memory_order_acq_rel);
-  KickPeer(g);
-}
-
-bool SocketTransport::TryEnqueueFrame(net::NodeId dst, Bytes frame) {
-  if (dst >= options_.peers.size()) return false;
-  const std::size_t g = GroupOf(dst);
-  if (g == group_) return false;
-  Peer& peer = peers_[g];
-  {
-    std::lock_guard lock(peer.mu);
-    if (peer.down.load(std::memory_order_acquire) || peer.closed) {
-      peer.frames_dropped.fetch_add(1, std::memory_order_acq_rel);
       return false;
     }
+    HMDSM_CHECK_MSG(!peer.closed,
+                    "send to process " << group << " after Stop()");
+    Bytes frame = encode(peer);
+    if (frame.empty()) return true;  // carried by the shm ring instead
     peer.queue_bytes += frame.size();
     peer.queue.push_back(std::move(frame));
   }
   Counter(stats::Ev::kWireFramesEnqueued)
       .fetch_add(1, std::memory_order_acq_rel);
-  KickPeer(g);
+  KickPeer(group);
   return true;
+}
+
+bool SocketTransport::EnqueueFrame(std::size_t group, Bytes frame,
+                                   bool forgiving) {
+  return Enqueue(group, forgiving,
+                 [&frame](Peer&) { return std::move(frame); });
 }
 
 Bytes SocketTransport::EncodeDataLocked(Peer& peer, DataFrame data) {
@@ -1001,7 +913,7 @@ Bytes SocketTransport::EncodeDataLocked(Peer& peer, DataFrame data) {
   const std::uint64_t key = DeltaKey(data.dst, obj);
   if (kind == proto::Kind::kMigrateReply) {
     // Home moved: whoever serves the next version keys a fresh cache, so
-    // both ends drop this entry (receiver mirrors in NoteRxData).
+    // both ends drop this entry (receiver mirrors in ReceiveData).
     peer.tx_cache.Erase(key);
     return Encode(std::move(data));
   }
@@ -1012,8 +924,9 @@ Bytes SocketTransport::EncodeDataLocked(Peer& peer, DataFrame data) {
     Bytes diff =
         dsm::Diff::Encode(prev->payload.span(), data.payload.span());
     // Send the delta only when it is strictly smaller on the wire,
-    // frame overheads included — equal-size deltas buy nothing and cost
-    // a rebuild on the far side.
+    // frame overheads included (the record header is the same either
+    // way) — equal-size deltas buy nothing and cost a rebuild on the far
+    // side.
     if (diff.size() + kDeltaFrameOverhead <
         data.payload.size() + kDataFrameOverhead) {
       const std::uint64_t base_seq = prev->seq;
@@ -1037,48 +950,33 @@ Bytes SocketTransport::EncodeDataLocked(Peer& peer, DataFrame data) {
 void SocketTransport::SendData(net::NodeId dst, DataFrame data) {
   const std::size_t g = GroupOf(dst);
   HMDSM_CHECK(g != group_);
-  Peer& peer = peers_[g];
-  bool via_shm = false;
-  {
-    std::lock_guard lock(peer.mu);
-    if (peer.down.load(std::memory_order_acquire)) {
-      peer.frames_dropped.fetch_add(1, std::memory_order_acq_rel);
-      return;
-    }
-    HMDSM_CHECK_MSG(!peer.closed, "send to rank " << dst << " after Stop()");
+  Enqueue(g, /*forgiving=*/false, [&](Peer& peer) {
     Bytes frame = EncodeDataLocked(peer, std::move(data));
-    if (peer.shm_tx) {
-      // Ring write under peer.mu: the mutex is the single-writer contract
-      // ShmTransport requires, and it orders ring records exactly like
-      // the TCP queue would. Mid-run this always succeeds; false means
-      // the mesh is tearing down and the frame no longer matters.
-      via_shm = shm_->WriteFrame(g, ByteSpan(frame.data(), frame.size()));
-      if (!via_shm) {
-        peer.frames_dropped.fetch_add(1, std::memory_order_acq_rel);
-        return;
-      }
+    if (!peer.shm_tx) return frame;
+    // Ring write under peer.mu: the mutex is the single-writer contract
+    // ShmTransport requires, and it orders ring records exactly like the
+    // TCP queue would. Mid-run this always succeeds; false means the mesh
+    // is tearing down and the frame no longer matters.
+    if (shm_->WriteFrame(g, ByteSpan(frame.data(), frame.size()))) {
+      peer.shm_msgs_sent.fetch_add(1, std::memory_order_acq_rel);
+      Counter(stats::Ev::kShmMsgs).fetch_add(1, std::memory_order_relaxed);
     } else {
-      peer.queue_bytes += frame.size();
-      peer.queue.push_back(std::move(frame));
+      peer.frames_dropped.fetch_add(1, std::memory_order_acq_rel);
     }
-  }
-  if (via_shm) {
-    peer.shm_msgs_sent.fetch_add(1, std::memory_order_acq_rel);
-    Counter(stats::Ev::kShmMsgs).fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Counter(stats::Ev::kWireFramesEnqueued)
-      .fetch_add(1, std::memory_order_acq_rel);
-  KickPeer(g);
+    return Bytes();
+  });
 }
 
 void SocketTransport::SendControl(net::NodeId dst, const Bytes& frame) {
-  EnqueueFrame(dst, frame);
+  HMDSM_CHECK(dst < options_.peers.size());
+  const std::size_t g = GroupOf(dst);
+  HMDSM_CHECK(g != group_);
+  EnqueueFrame(g, frame, /*forgiving=*/false);
 }
 
 void SocketTransport::BroadcastControl(const Bytes& frame) {
   for (std::size_t g = 0; g < group_count_; ++g) {
-    if (g != group_) EnqueueFrame(PrimaryOf(g), frame);
+    if (g != group_) EnqueueFrame(g, frame, /*forgiving=*/false);
   }
 }
 
@@ -1102,10 +1000,7 @@ void SocketTransport::Send(net::NodeId src, net::NodeId dst,
     // Through the destination's mailbox (asynchronous delivery), never the
     // wire; a self-send is not charged — identical to the in-process
     // transports.
-    enqueued_.fetch_add(1, std::memory_order_acq_rel);
-    net::Packet packet{src, dst, cat, std::move(payload)};
-    packet.enqueued_at = Now();
-    mailboxes_[dst - options_.rank].Push(std::move(packet));
+    Deliver(net::Packet{src, dst, cat, std::move(payload)});
     return;
   }
   const std::size_t wire_bytes = payload.size() + kHeaderBytes;

@@ -13,15 +13,14 @@
 //
 // I/O model: an epoll reactor. A small pool of I/O threads (io_threads,
 // default 4 — independent of rank count) owns the peer sockets
-// round-robin; all sockets are nonblocking. Reads run a per-peer state
-// machine (4-byte length header, then the exact-size frame buffer — the
-// frame is decoded zero-copy as a util::Buf). Writes drain the per-peer
-// frame queue through sendmsg: a backlog is coalesced into one Batch frame
-// whose header and per-frame length prefixes are emitted as scatter
-// segments around the already-encoded frames, so batching never copies a
-// payload. A partial write parks a cursor and arms EPOLLOUT; the write
-// counters and the write-latency histogram only ever record *successful*
-// writes.
+// round-robin; all sockets are nonblocking. The record format, its length
+// bound and the Batch layout are frame.h's: reads feed a per-peer
+// RecordAssembler (each frame lands in a pooled exact-size buffer and is
+// decoded zero-copy as a util::Buf), and writes drain the per-peer frame
+// queue through sendmsg as AppendWireImage scatter segments, so batching
+// never copies a payload. A partial write parks a cursor and arms EPOLLOUT;
+// the write counters and the write-latency histogram only ever record
+// *successful* writes.
 //
 // Data path and the delivery contract (see net/transport.h):
 //   * Send() is always called under the source node's agent lock, so sends
@@ -330,6 +329,7 @@ class SocketTransport final : public runtime::MailboxTransport {
   /// owning I/O thread (single-threaded by construction — a peer belongs
   /// to exactly one reactor thread).
   struct Peer {
+    explicit Peer(BufferPool* rx_pool) : rx(rx_pool) {}
     Fd fd;
     std::size_t io_thread = 0;
     std::atomic<bool> registered{false};    // epoll adoption complete
@@ -366,15 +366,11 @@ class SocketTransport final : public runtime::MailboxTransport {
     // kDelta path is exactly one of the two, fixed at handshake) ----
     DeltaCache rx_cache;
     // ---- owning-I/O-thread state ----
-    Byte head[4] = {};          // length-prefix accumulator
-    std::size_t head_got = 0;   // 4 == currently filling in_box
-    BufferPool::Box in_box;     // pooled exact-size receive buffer
-    std::size_t in_got = 0;
+    RecordAssembler rx;           // the socket's inbound record stream
     std::vector<Bytes> out_segs;  // in-flight wire image (scatter segments)
     std::size_t out_seg = 0;      // flush cursor: segment index…
     std::size_t out_off = 0;      // …and byte offset within it
     std::size_t out_frames = 0;   // frames the in-flight image carries
-    bool out_batched = false;
     bool out_active = false;
     std::uint32_t armed = 0;   // epoll event mask currently registered
     bool in_epoll = false;
@@ -415,7 +411,7 @@ class SocketTransport final : public runtime::MailboxTransport {
   /// Teardown flush: drains every owned queue (EPOLLOUT-paced), then
   /// half-closes each link.
   void DrainWrites(IoThread& t);
-  /// Nonblocking read pump: header/frame state machine until EAGAIN.
+  /// Nonblocking read pump: feeds the peer's record assembler until EAGAIN.
   void HandleReadable(IoThread& t, std::size_t group);
   /// Drains the peer's queue through sendmsg until empty or EAGAIN.
   void FlushPeer(IoThread& t, std::size_t group);
@@ -447,16 +443,29 @@ class SocketTransport final : public runtime::MailboxTransport {
   /// The delta decision (under peer.mu): returns the encoded kDelta or
   /// kData frame and mutates tx_cache with the matching lockstep op.
   Bytes EncodeDataLocked(Peer& peer, DataFrame data);
-  /// Receive-side mirror of the lockstep op for a full data frame.
-  void NoteRxData(Peer& peer, const DataFrame& data);
-  /// Reconstructs a kDelta frame against rx_cache and delivers it; any
-  /// base mismatch or malformed diff is a protocol violation (Die).
-  void HandleDelta(std::size_t group, const Buf& frame);
-  void EnqueueFrame(net::NodeId dst, Bytes frame);
-  /// Forgiving enqueue for health-plane traffic: drops the frame (and
-  /// counts it) when the link is down or closing instead of aborting —
-  /// heartbeats race shutdown by design.
-  bool TryEnqueueFrame(net::NodeId dst, Bytes frame);
+  /// Decodes a kData frame into its packet (payload aliased) and applies
+  /// the receive-side mirror of the sender's lockstep cache op.
+  net::Packet ReceiveData(std::size_t group, const Buf& frame);
+  /// Reconstructs a kDelta frame's packet against rx_cache; any base
+  /// mismatch or malformed diff is a protocol violation (Die).
+  net::Packet ReceiveDelta(std::size_t group, const Buf& frame);
+  /// Dies unless a `kind` frame from process `group` claims a source rank
+  /// that process hosts and a destination rank this process hosts.
+  void CheckRoute(std::size_t group, net::NodeId src, net::NodeId dst,
+                  const char* kind) const;
+  /// Pushes a packet into its (local) destination rank's mailbox.
+  void Deliver(net::Packet packet);
+  /// The one enqueue path toward process `group`. Under the link lock, a
+  /// retired link — or, when `forgiving`, a closing one — drops the frame
+  /// and counts it (false); a strict send after Stop() aborts. Otherwise
+  /// `encode(peer)` yields the frame, still under the lock, and it joins
+  /// the TCP queue and kicks the reactor — unless `encode` carried it over
+  /// the shm ring and returned no bytes.
+  template <typename EncodeFn>
+  bool Enqueue(std::size_t group, bool forgiving, EncodeFn&& encode);
+  /// Enqueues an encoded control frame. Health-plane traffic passes
+  /// `forgiving`: heartbeats race shutdown by design.
+  bool EnqueueFrame(std::size_t group, Bytes frame, bool forgiving);
   /// Wakes `group`'s reactor thread to flush its queue (deduplicated per
   /// peer via kick_pending).
   void KickPeer(std::size_t group);

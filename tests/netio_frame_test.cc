@@ -2,11 +2,14 @@
 // — because frames come off a wire from an untrusted peer — the defensive
 // decode paths: truncation, wrong type, trailing garbage, out-of-range
 // enums, and hostile embedded lengths must all come back as errors, never
-// as exceptions, UB, or giant allocations.
+// as exceptions, UB, or giant allocations. The record layer under them (the
+// wire-image builder and the record assembler every stream reader uses) is
+// held to the same standard.
 #include "src/netio/frame.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "src/dsm/diff.h"
@@ -14,6 +17,48 @@
 
 namespace hmdsm::netio {
 namespace {
+
+/// The production wire image of `frames` (AppendWireImage's scatter
+/// segments), concatenated as the receiving stream sees it.
+Bytes WireImage(std::vector<Bytes> frames) {
+  std::vector<Bytes> segs;
+  AppendWireImage(std::move(frames), &segs);
+  Bytes out;
+  for (const Bytes& seg : segs) out.insert(out.end(), seg.begin(), seg.end());
+  return out;
+}
+
+/// The Batch frame the writer emits for `frames`: its wire image without
+/// the record header.
+Bytes BatchOf(std::vector<Bytes> frames) {
+  const Bytes image = WireImage(std::move(frames));
+  return Bytes(image.begin() + kRecordHeaderBytes, image.end());
+}
+
+/// Feeds `stream` through `rx` in pieces of at most `chunk` bytes (0 =
+/// whatever the window takes), appending completed frames. False (with
+/// `error`) once a record length is rejected.
+bool Feed(RecordAssembler& rx, ByteSpan stream, std::size_t chunk,
+          std::vector<Buf>* frames, std::string* error) {
+  while (!stream.empty()) {
+    const MutByteSpan window = rx.Window();
+    std::size_t take = std::min(window.size(), stream.size());
+    if (chunk != 0) take = std::min(take, chunk);
+    std::copy_n(stream.begin(), take, window.begin());
+    stream = stream.subspan(take);
+    Buf frame;
+    switch (rx.Commit(take, &frame, error)) {
+      case RecordAssembler::Step::kMore:
+        break;
+      case RecordAssembler::Step::kFrame:
+        frames->push_back(std::move(frame));
+        break;
+      case RecordAssembler::Step::kBadLength:
+        return false;
+    }
+  }
+  return true;
+}
 
 template <typename F>
 F RoundTrip(const F& in) {
@@ -305,7 +350,7 @@ TEST(NetioFrameBatch, RoundTripPreservesOrderAndBytes) {
   a.payload = Bytes{1, 2, 3};
   const std::vector<Bytes> frames = {Encode(a), Encode(StartThreadFrame{7}),
                                      Encode(ShutdownDoneFrame{})};
-  const Buf batch = Bytes(EncodeBatch(frames));
+  const Buf batch = BatchOf(frames);
   std::vector<Buf> inner;
   std::string error;
   ASSERT_TRUE(TryDecodeBatch(batch, &inner, &error)) << error;
@@ -324,8 +369,7 @@ TEST(NetioFrameBatch, DataPayloadDecodedFromABatchAliasesNoCopy) {
   // not copies — the pointer identity is the zero-copy receive path.
   DataFrame big;
   big.payload = Bytes(4096, Byte{0x5A});
-  const Buf batch =
-      Bytes(EncodeBatch({Encode(big), Encode(StartThreadFrame{1})}));
+  const Buf batch = BatchOf({Encode(big), Encode(StartThreadFrame{1})});
   std::vector<Buf> inner;
   std::string error;
   ASSERT_TRUE(TryDecodeBatch(batch, &inner, &error)) << error;
@@ -337,8 +381,8 @@ TEST(NetioFrameBatch, DataPayloadDecodedFromABatchAliasesNoCopy) {
 }
 
 TEST(NetioFrameBatch, TruncatedInnerFrameIsRejected) {
-  Bytes wire = EncodeBatch({Encode(StartThreadFrame{1}),
-                            Encode(StartThreadFrame{2})});
+  Bytes wire = BatchOf({Encode(StartThreadFrame{1}),
+                        Encode(StartThreadFrame{2})});
   for (std::size_t cut = 1; cut < 12; ++cut) {
     const Buf cut_frame = Buf::Copy(ByteSpan(wire.data(), wire.size() - cut));
     std::vector<Buf> inner;
@@ -379,8 +423,8 @@ TEST(NetioFrameBatch, DegenerateCountsAreRejected) {
 }
 
 TEST(NetioFrameBatch, TrailingGarbageIsRejected) {
-  Bytes wire = EncodeBatch({Encode(StartThreadFrame{1}),
-                            Encode(StartThreadFrame{2})});
+  Bytes wire = BatchOf({Encode(StartThreadFrame{1}),
+                        Encode(StartThreadFrame{2})});
   wire.push_back(0xAB);
   std::vector<Buf> inner;
   std::string error;
@@ -389,10 +433,9 @@ TEST(NetioFrameBatch, TrailingGarbageIsRejected) {
 }
 
 TEST(NetioFrameBatch, NestedBatchIsRejected) {
-  const Bytes inner_batch = EncodeBatch(
-      {Encode(StartThreadFrame{1}), Encode(StartThreadFrame{2})});
-  const Bytes wire =
-      EncodeBatch({inner_batch, Encode(ShutdownDoneFrame{})});
+  const Bytes inner_batch =
+      BatchOf({Encode(StartThreadFrame{1}), Encode(StartThreadFrame{2})});
+  const Bytes wire = BatchOf({inner_batch, Encode(ShutdownDoneFrame{})});
   std::vector<Buf> inner;
   std::string error;
   EXPECT_FALSE(TryDecodeBatch(Buf(Bytes(wire)), &inner, &error));
@@ -409,6 +452,181 @@ TEST(NetioFrameBatch, InnerFrameWithNoValidTypeIsRejected) {
   std::string error;
   EXPECT_FALSE(TryDecodeBatch(Buf(w.take()), &inner, &error));
   EXPECT_NE(error.find("type"), std::string::npos);
+}
+
+TEST(NetioFrameBatch, WireImageDecodesToTheQueuedFrames) {
+  // The scatter image the reactor writes, read back the way the far end
+  // reads it: one record, assembled, then split by TryDecodeBatch.
+  DataFrame big;
+  big.payload = Bytes(300, Byte{0x42});
+  const std::vector<Bytes> frames = {Encode(StartThreadFrame{1}), Encode(big),
+                                     Encode(HeartbeatFrame{2, 3})};
+  const Bytes image = WireImage(frames);
+  BufferPool pool;
+  RecordAssembler rx(&pool);
+  std::vector<Buf> records;
+  std::string error;
+  ASSERT_TRUE(Feed(rx, ByteSpan(image), 0, &records, &error)) << error;
+  ASSERT_EQ(records.size(), 1u);
+  FrameType type;
+  ASSERT_TRUE(PeekType(records[0].span(), &type));
+  EXPECT_EQ(type, FrameType::kBatch);
+  std::vector<Buf> inner;
+  ASSERT_TRUE(TryDecodeBatch(records[0], &inner, &error)) << error;
+  ASSERT_EQ(inner.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i)
+    EXPECT_EQ(inner[i], frames[i]) << "frame " << i;
+}
+
+TEST(NetioFrameBatch, LoneFrameWireImageIsAPlainRecord) {
+  const Bytes frame = Encode(StartThreadFrame{9});
+  const Bytes image = WireImage({frame});
+  ASSERT_EQ(image.size(), kRecordHeaderBytes + frame.size());
+  const auto header = RecordHeader(frame.size());
+  EXPECT_TRUE(std::equal(header.begin(), header.end(), image.begin()));
+  EXPECT_TRUE(std::equal(frame.begin(), frame.end(),
+                         image.begin() + kRecordHeaderBytes));
+}
+
+// ---------------------------------------------------------------------------
+// The record assembler (every netio stream reader)
+// ---------------------------------------------------------------------------
+
+/// `frames` as back-to-back records, the way a stream carries them.
+Bytes Records(const std::vector<Bytes>& frames) {
+  Bytes out;
+  for (const Bytes& f : frames) {
+    const auto header = RecordHeader(f.size());
+    out.insert(out.end(), header.begin(), header.end());
+    out.insert(out.end(), f.begin(), f.end());
+  }
+  return out;
+}
+
+TEST(NetioRecordAssembler, FrameDeliveredOneByteAtATime) {
+  DataFrame data;
+  data.payload = Bytes(200, Byte{7});
+  const Bytes frame = Encode(data);
+  const Bytes stream = Records({frame});
+  BufferPool pool;
+  RecordAssembler rx(&pool);
+  EXPECT_TRUE(rx.idle());
+  std::vector<Buf> frames;
+  std::string error;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(Feed(rx, ByteSpan(stream).subspan(i, 1), 1, &frames, &error))
+        << error;
+    const bool done = i + 1 == stream.size();
+    EXPECT_EQ(rx.in_header(), i + 1 < kRecordHeaderBytes || done)
+        << "byte " << i;
+    EXPECT_EQ(frames.size(), done ? 1u : 0u) << "byte " << i;
+  }
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0], frame);
+  EXPECT_TRUE(rx.idle());
+}
+
+TEST(NetioRecordAssembler, HeaderSplitAtEachOffset) {
+  const std::vector<Bytes> sent = {Encode(StartThreadFrame{1}),
+                                   Encode(HeartbeatFrame{2, 3})};
+  const Bytes stream = Records(sent);
+  for (std::size_t split = 0; split < kRecordHeaderBytes; ++split) {
+    BufferPool pool;
+    RecordAssembler rx(&pool);
+    std::vector<Buf> frames;
+    std::string error;
+    ASSERT_TRUE(Feed(rx, ByteSpan(stream).first(split), 0, &frames, &error));
+    EXPECT_EQ(rx.idle(), split == 0) << "split " << split;
+    ASSERT_TRUE(
+        Feed(rx, ByteSpan(stream).subspan(split), 0, &frames, &error))
+        << error;
+    ASSERT_EQ(frames.size(), sent.size()) << "split " << split;
+    for (std::size_t i = 0; i < sent.size(); ++i)
+      EXPECT_EQ(frames[i], sent[i]) << "split " << split << " frame " << i;
+  }
+}
+
+TEST(NetioRecordAssembler, BadLengthsAreRejectedBeforeAllocation) {
+  for (const std::uint32_t len : {0u, kMaxFrameBytes + 1}) {
+    BufferPool pool;
+    RecordAssembler rx(&pool);
+    const auto header = RecordHeader(len);
+    std::vector<Buf> frames;
+    std::string error;
+    EXPECT_FALSE(Feed(rx, ByteSpan(header), 0, &frames, &error)) << len;
+    EXPECT_NE(error.find("frame length " + std::to_string(len)),
+              std::string::npos)
+        << error;
+    EXPECT_TRUE(rx.failed());
+    EXPECT_TRUE(rx.Window().empty());
+    EXPECT_TRUE(frames.empty());
+    EXPECT_EQ(pool.buffer_allocs(), 0u) << "length " << len;
+  }
+}
+
+TEST(NetioRecordAssembler, MaxLengthIsAccepted) {
+  BufferPool pool;
+  RecordAssembler rx(&pool);
+  const auto header = RecordHeader(kMaxFrameBytes);
+  std::vector<Buf> frames;
+  std::string error;
+  ASSERT_TRUE(Feed(rx, ByteSpan(header), 0, &frames, &error)) << error;
+  EXPECT_EQ(rx.Window().size(), kMaxFrameBytes);
+  EXPECT_FALSE(rx.idle());
+  EXPECT_FALSE(rx.in_header());
+}
+
+TEST(NetioRecordAssembler, SteadyStreamReusesPooledBuffers) {
+  // Frames above the inline size hold a pooled box; once the first is
+  // released, every later frame reuses it instead of allocating.
+  BufferPool pool;
+  RecordAssembler rx(&pool);
+  DataFrame data;
+  data.payload = Bytes(512, Byte{1});
+  const Bytes stream = Records({Encode(data)});
+  std::string error;
+  for (int i = 0; i < 100; ++i) {
+    std::vector<Buf> frames;
+    ASSERT_TRUE(Feed(rx, ByteSpan(stream), 0, &frames, &error)) << error;
+    ASSERT_EQ(frames.size(), 1u);
+  }
+  EXPECT_EQ(pool.buffer_allocs(), 1u);
+}
+
+TEST(NetioRecordAssembler, SeededMutationsYieldFramesOrACleanError) {
+  DataFrame data;
+  data.payload = Bytes(100, Byte{3});
+  const std::vector<Bytes> sent = {
+      Encode(StartThreadFrame{1}), Encode(data), Encode(HeartbeatFrame{2, 3}),
+      Encode(ShutdownDoneFrame{}), Encode(RoundFrame{RoundOp::kStats, 4})};
+  const Bytes stream = Records(sent);
+  constexpr int kMutations = 1000;
+  SplitMix64 rng(0xF4A3E5ull);
+  for (int i = 0; i < kMutations; ++i) {
+    Bytes mutated = stream;
+    const std::size_t at = rng.next() % mutated.size();
+    mutated[at] ^= static_cast<Byte>(1 + rng.next() % 255);
+    const std::size_t chunk = 1 + rng.next() % 16;
+    BufferPool pool;
+    RecordAssembler rx(&pool);
+    std::vector<Buf> frames;
+    std::string error;
+    bool ok = false;
+    EXPECT_NO_THROW(ok = Feed(rx, ByteSpan(mutated), chunk, &frames, &error))
+        << "flip at " << at;
+    EXPECT_EQ(ok, error.empty()) << "flip at " << at << ": " << error;
+    EXPECT_EQ(ok, !rx.failed()) << "flip at " << at;
+    std::size_t framed = 0;
+    for (const Buf& f : frames) framed += kRecordHeaderBytes + f.size();
+    EXPECT_LE(framed, mutated.size()) << "flip at " << at;
+    // Bytes before the flipped one frame exactly as they were sent.
+    std::size_t offset = 0;
+    for (std::size_t k = 0; k < frames.size() && k < sent.size(); ++k) {
+      offset += kRecordHeaderBytes + sent[k].size();
+      if (offset > at) break;
+      EXPECT_EQ(frames[k], sent[k]) << "flip at " << at << " frame " << k;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -539,6 +757,19 @@ TEST(NetioFrame, DeltaRoundTripRebuildsThePayload) {
                                   &error))
       << error;
   EXPECT_EQ(rebuilt, next);
+}
+
+TEST(NetioFrame, FrameOverheadsMatchTheEncoders) {
+  // The sender's delta-or-full decision compares encoded sizes through
+  // these constants instead of encoding both frames.
+  Bytes base(128, Byte{0x40});
+  Bytes next = base;
+  next[9] = Byte{0x41};
+  DataFrame data;
+  data.payload = Buf::Copy(ByteSpan(next));
+  EXPECT_EQ(Encode(data).size(), next.size() + kDataFrameOverhead);
+  const DeltaFrame delta = MakeDelta(base, next);
+  EXPECT_EQ(Encode(delta).size(), delta.diff.size() + kDeltaFrameOverhead);
 }
 
 TEST(NetioFrame, DeltaBufDecodeAliasesTheWireFrame) {
@@ -774,8 +1005,8 @@ TEST(NetioFrameDefense, SeededMutationsDecodeOrFailCleanly) {
          return TryDecode(ByteSpan(b), &f, e);
        }},
       {"batch",
-       EncodeBatch({Encode(data), Encode(MakeDelta(base, next)),
-                    Encode(HeartbeatFrame{1, 2})}),
+       BatchOf({Encode(data), Encode(MakeDelta(base, next)),
+                Encode(HeartbeatFrame{1, 2})}),
        [](const Bytes& b, std::string* e) {
          std::vector<Buf> inner;
          return TryDecodeBatch(Buf(Bytes(b)), &inner, e);

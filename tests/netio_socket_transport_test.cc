@@ -1,7 +1,7 @@
 // SocketTransport at the edges of a run's lifetime: a peer that speaks an
 // older protocol version at handshake, a peer that sends a malformed
-// control frame, and a peer process that is gone while the survivor is
-// still shutting down and writing toward it.
+// control frame or an out-of-bounds record length, and a peer process that
+// is gone while the survivor is still shutting down and writing toward it.
 #include "src/netio/socket_transport.h"
 
 #include <gtest/gtest.h>
@@ -117,6 +117,39 @@ TEST(SocketTransportControl, MalformedControlFrameDiesNamingTheSender) {
         std::this_thread::sleep_for(std::chrono::seconds(10));
       },
       "fatal: malformed control frame from process 1");
+}
+
+// The reactor checks every record length before allocating: a peer that
+// completed the handshake and then announces an empty frame, or one above
+// kMaxFrameBytes, is a protocol violation the receiver dies on, naming the
+// sending process.
+TEST(SocketTransportReactor, BadRecordLengthDiesNamingTheSender) {
+  for (const std::uint32_t len : {0u, kMaxFrameBytes + 1}) {
+    EXPECT_DEATH(
+        {
+          TwoRankMesh mesh;
+          ::close(mesh.listen_fds[1]);  // rank 1 is the raw socket below
+          SocketTransport rank0(mesh.Options(0));
+          rank0.Start();
+          std::string error;
+          Fd raw = DialWithRetry(mesh.peers[0], 5000, &error);
+          HMDSM_CHECK_MSG(raw.valid(), error);
+          HelloFrame hello;
+          hello.node = 1;
+          hello.node_count = 2;
+          const Bytes frame = Encode(hello);
+          HMDSM_CHECK(WriteFrame(raw.get(), ByteSpan(frame), &error));
+          Buf ack;
+          HMDSM_CHECK_MSG(ReadFrame(raw.get(), &ack, &error), error);
+          rank0.AwaitConnected();
+          const auto header = RecordHeader(len);
+          HMDSM_CHECK(::write(raw.get(), header.data(), header.size()) ==
+                      static_cast<ssize_t>(header.size()));
+          std::this_thread::sleep_for(std::chrono::seconds(10));
+        },
+        "fatal: bad record from process 1: frame length " +
+            std::to_string(len) + " ");
+  }
 }
 
 /// The survivor's half of the scenario below; returns its exit status.
