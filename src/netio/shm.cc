@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <thread>
 
 namespace hmdsm::netio {
 
@@ -19,6 +20,10 @@ namespace {
 
 constexpr std::uint32_t kSegMagic = 0x484d5348;  // "HMSH"
 constexpr std::size_t kCacheLine = 64;
+
+/// The transport whose reader is the calling thread (null elsewhere): the
+/// reader's own sends wait by draining, not by parking.
+thread_local const ShmTransport* t_reader_of = nullptr;
 
 // Futexes on a shared (MAP_SHARED) mapping must be non-private: the kernel
 // keys them by inode+offset so the two processes' different virtual
@@ -262,16 +267,20 @@ bool ShmTransport::WriteFrame(std::size_t peer_group, ByteSpan frame) {
         if (stopping_.load(std::memory_order_acquire) ||
             hdr->closed.load(std::memory_order_acquire) != 0)
           return false;
+        // Our own reader keeps draining while it waits: the peer's reader
+        // may be blocked writing into one of our rings.
+        if (DrainNested()) continue;
         // Park on the space doorbell. Re-check head after raising
         // writer_waiting: the reader bumps space_db after its drain, so a
         // drain between our head load and the wait would otherwise be a
         // lost wakeup. The timeout bounds the window where the reader died
-        // without closing.
+        // without closing; our reader waits briefly, as its inbound rings
+        // ring a different doorbell.
         const std::uint32_t db = rh->space_db.load(std::memory_order_acquire);
         rh->writer_waiting.store(1, std::memory_order_release);
         head = rh->head.load(std::memory_order_acquire);
         if (kShmRingBytes - static_cast<std::size_t>(tail - head) == 0)
-          FutexWait(&rh->space_db, db, 10);
+          FutexWait(&rh->space_db, db, t_reader_of == this ? 1 : 10);
         rh->writer_waiting.store(0, std::memory_order_relaxed);
         continue;
       }
@@ -292,6 +301,27 @@ bool ShmTransport::WriteFrame(std::size_t peer_group, ByteSpan frame) {
   // treats false as link death.
   return push(header.data(), header.size()) &&
          push(frame.data(), frame.size());
+}
+
+void ShmTransport::LockDraining(std::mutex& mu) {
+  if (t_reader_of != this || nested_) {
+    mu.lock();
+    return;
+  }
+  while (!mu.try_lock()) {
+    if (!DrainNested()) std::this_thread::yield();
+  }
+}
+
+bool ShmTransport::DrainNested() {
+  if (t_reader_of != this || nested_) return false;
+  nested_ = true;
+  bool progress = false;
+  for (std::size_t g = 0; g < options_.group_count; ++g) {
+    if (g != options_.self_group) progress = DrainRing(g) || progress;
+  }
+  nested_ = false;
+  return progress;
 }
 
 void ShmTransport::StartReader(FrameHandler on_frame, FatalHandler on_fatal,
@@ -322,7 +352,7 @@ bool ShmTransport::DrainRing(std::size_t g) {
   if (rx.failed()) return false;
   const Byte* data = RingData(own_.base, options_.group_count, g);
   std::uint64_t head = rh->head.load(std::memory_order_relaxed);
-  const std::uint64_t tail = rh->tail.load(std::memory_order_acquire);
+  std::uint64_t tail = rh->tail.load(std::memory_order_acquire);
   if (head == tail) return false;
   while (head != tail) {
     // Straight into the record's window: the header (which can straddle
@@ -341,7 +371,12 @@ bool ShmTransport::DrainRing(std::size_t g) {
         // Free the ring space before the (possibly slow) handler runs so a
         // blocked writer can make progress under it.
         ReleaseSpace(rh, head);
-        on_frame_(g, std::move(frame));
+        on_frame_(g, std::move(frame), nested_);
+        // A handler that sent may have drained this very ring from inside
+        // its wait (DrainNested): both cursors may have moved under us.
+        if (rx.failed()) return true;
+        head = rh->head.load(std::memory_order_relaxed);
+        tail = rh->tail.load(std::memory_order_acquire);
         break;
       case RecordAssembler::Step::kBadLength:
         ReleaseSpace(rh, head);
@@ -355,6 +390,7 @@ bool ShmTransport::DrainRing(std::size_t g) {
 }
 
 void ShmTransport::ReaderMain() {
+  t_reader_of = this;
   SegHdr* hdr = Hdr(own_.base);
   for (;;) {
     const std::uint32_t db = hdr->doorbell.load(std::memory_order_acquire);

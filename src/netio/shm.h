@@ -32,12 +32,22 @@
 // serialized per peer (SocketTransport calls it under the link mutex that
 // already orders that link's sends). The reader side is one thread owned by
 // this object.
+//
+// The reader sends too: SocketTransport runs a frame's protocol handler on
+// it when the destination rank is idle (inline dispatch), and a handler
+// sends replies. Two readers could then each wait for space in the other's
+// full ring, so the reader never parks on a full outbound ring or on a link
+// mutex: while it waits (WriteFrame, LockDraining) it drains its own
+// inbound rings, handing those frames over `nested` — queued for the
+// dispatchers, never dispatched inline. Tests: netio_socket_transport_test
+// (InlineDispatch.Echoes*).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,11 +99,22 @@ class ShmTransport {
   /// attached). Returns false only when this transport is stopping or the
   /// peer's segment is closed — mid-run it always completes. Must be
   /// serialized per peer by the caller (see the single-writer contract).
+  /// On the reader thread a full ring is waited out by draining the
+  /// inbound rings (nested), never by parking alone.
   bool WriteFrame(std::size_t peer_group, ByteSpan frame);
 
+  /// Locks `mu`. On this transport's reader thread it try-locks, draining
+  /// the inbound rings (nested) between attempts: the holder may be a
+  /// writer waiting for ring space that only a peer reader frees, and that
+  /// peer reader may be waiting for this one.
+  void LockDraining(std::mutex& mu);
+
   /// One decoded inbound frame: the writer process's group and the frame
-  /// bytes (storage recycled through `pool`).
-  using FrameHandler = std::function<void(std::size_t src_group, Buf frame)>;
+  /// bytes (storage recycled through `pool`). `nested` is true when the
+  /// reader drained it while waiting inside one of its own sends: the
+  /// handler must then only queue the frame, never run protocol code.
+  using FrameHandler =
+      std::function<void(std::size_t src_group, Buf frame, bool nested)>;
   /// An unrecoverable ring violation (bad record length), reported once per
   /// ring: the reader stops draining that ring for good. The transport
   /// treats it like a malformed TCP frame: fatal.
@@ -131,6 +152,10 @@ class ShmTransport {
   void ReaderMain();
   /// Drains whatever is available in ring `g`; true if any byte moved.
   bool DrainRing(std::size_t g);
+  /// On the reader thread, outside a nested drain: drains every inbound
+  /// ring once with `nested_` set; true if any byte moved. Elsewhere a
+  /// no-op returning false.
+  bool DrainNested();
 
   ShmTransportOptions options_;
   std::string name_;
@@ -139,6 +164,7 @@ class ShmTransport {
   /// [g] = ring g's record stream; a record may arrive across many drains.
   std::vector<RecordAssembler> rx_;
   std::atomic<bool> stopping_{false};
+  bool nested_ = false;  // reader thread only: inside DrainNested
   bool reader_started_ = false;
   bool stopped_ = false;
   std::thread reader_;

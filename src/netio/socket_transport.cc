@@ -67,8 +67,7 @@ SocketTransport::SocketTransport(SocketTransportOptions options)
   local_ranks_.reserve(local_count);
   for (std::size_t i = 0; i < local_count; ++i)
     local_ranks_.push_back(static_cast<net::NodeId>(options_.rank + i));
-  mailboxes_.resize(local_count);
-  handlers_.resize(local_count);
+  inboxes_.resize(local_count);
   for (std::size_t g = 0; g < group_count_; ++g)
     peers_.emplace_back(&rx_pool_);
   for (stats::Recorder& r : recorders_) r.SetNodeCount(n);
@@ -104,14 +103,14 @@ void SocketTransport::Start() {
                    options_.rank, error.c_str());
     } else {
       shm_->StartReader(
-          [this](std::size_t src_group, Buf frame) {
+          [this](std::size_t src_group, Buf frame, bool nested) {
             FrameType type;
             if (!PeekType(frame.span(), &type) ||
                 (type != FrameType::kData && type != FrameType::kDelta)) {
               Die("non-data frame on the shm ring from process " +
                   std::to_string(src_group));
             }
-            HandleFrame(src_group, frame, /*allow_batch=*/false);
+            DeliverData(src_group, type, frame, /*may_inline=*/!nested);
           },
           [this](const std::string& why) { Die(why); }, &rx_pool_,
           // Drain gate: ring bytes wait until this link's handshake
@@ -561,11 +560,7 @@ void SocketTransport::HandleFrame(std::size_t group, const Buf& frame,
     Die("unknown frame type from process " + std::to_string(group));
   }
   if (type == FrameType::kData || type == FrameType::kDelta) {
-    net::Packet packet = type == FrameType::kData
-                             ? ReceiveData(group, frame)
-                             : ReceiveDelta(group, frame);
-    wire_received_.fetch_add(1, std::memory_order_acq_rel);
-    Deliver(std::move(packet));
+    DeliverData(group, type, frame, /*may_inline=*/false);
   } else if (type == FrameType::kBatch) {
     std::vector<Buf> inner;
     if (!allow_batch || !TryDecodeBatch(frame, &inner, &error)) {
@@ -684,12 +679,45 @@ void SocketTransport::CheckRoute(std::size_t group, net::NodeId src,
   }
 }
 
-void SocketTransport::Deliver(net::Packet packet) {
-  // Count before the push, exactly like the channel transport: once the
+void SocketTransport::DeliverData(std::size_t group, FrameType type,
+                                  const Buf& frame, bool may_inline) {
+  net::Packet packet = type == FrameType::kData ? ReceiveData(group, frame)
+                                                : ReceiveDelta(group, frame);
+  wire_received_.fetch_add(1, std::memory_order_acq_rel);
+  Deliver(std::move(packet), may_inline);
+}
+
+void SocketTransport::Deliver(net::Packet packet, bool may_inline) {
+  Inbox& box = inbox(packet.dst);
+  // Count first, exactly like the channel transport: once a handler or the
   // dispatcher can see the packet, enqueued() must already cover it.
   enqueued_.fetch_add(1, std::memory_order_acq_rel);
+  // Inline only when nothing for this rank is queued or being handled:
+  // those packets may come from this frame's sender, and must run first.
+  // Every test here is a try — the caller is the shm reader, which other
+  // ranks' frames wait behind.
+  if (may_inline && box.pending.load(std::memory_order_acquire) == 0) {
+    std::unique_lock lend(lend_mu_, std::try_to_lock);
+    if (lend.owns_lock() && box.agent_lock != nullptr) {
+      std::unique_lock agent(*box.agent_lock, std::try_to_lock);
+      if (agent.owns_lock()) {
+        // Under the agent lock, like every recorder write. No dwell is
+        // recorded (enqueued_at stays 0): the packet never sat anywhere.
+        recorders_[packet.dst].Bump(stats::Ev::kInlineDispatches);
+        RunHandler(box, std::move(packet));
+        return;
+      }
+    }
+  }
+  box.pending.fetch_add(1, std::memory_order_acq_rel);
   packet.enqueued_at = Now();
-  mailboxes_[packet.dst - options_.rank].Push(std::move(packet));
+  box.mailbox.Push(std::move(packet));
+}
+
+void SocketTransport::LendAgentLock(net::NodeId node, std::mutex* agent_lock) {
+  CheckLocal(node);
+  std::lock_guard lock(lend_mu_);
+  inbox(node).agent_lock = agent_lock;
 }
 
 void SocketTransport::OnTimer(IoThread& t) {
@@ -874,7 +902,14 @@ bool SocketTransport::Enqueue(std::size_t group, bool forgiving,
                               EncodeFn&& encode) {
   Peer& peer = peers_[group];
   {
-    std::lock_guard lock(peer.mu);
+    // The shm reader sends from inline handlers; it must not park behind
+    // a link writer that waits for ring space (ShmTransport::LockDraining).
+    if (shm_ != nullptr) {
+      shm_->LockDraining(peer.mu);
+    } else {
+      peer.mu.lock();
+    }
+    std::lock_guard lock(peer.mu, std::adopt_lock);
     if (peer.down.load(std::memory_order_acquire) ||
         (forgiving && peer.closed)) {
       // The link is retired: queueing would grow forever and aborting
@@ -929,7 +964,7 @@ Bytes SocketTransport::EncodeDataLocked(Peer& peer, DataFrame data) {
     // side.
     if (diff.size() + kDeltaFrameOverhead <
         data.payload.size() + kDataFrameOverhead) {
-      const std::uint64_t base_seq = prev->seq;
+      const std::uint32_t base_seq = prev->seq;
       Counter(stats::Ev::kWireDeltaHits)
           .fetch_add(1, std::memory_order_relaxed);
       Counter(stats::Ev::kWireDeltaBytesSaved).fetch_add(
@@ -1000,7 +1035,8 @@ void SocketTransport::Send(net::NodeId src, net::NodeId dst,
     // Through the destination's mailbox (asynchronous delivery), never the
     // wire; a self-send is not charged — identical to the in-process
     // transports.
-    Deliver(net::Packet{src, dst, cat, std::move(payload)});
+    Deliver(net::Packet{src, dst, cat, std::move(payload)},
+            /*may_inline=*/false);
     return;
   }
   const std::size_t wire_bytes = payload.size() + kHeaderBytes;
@@ -1016,7 +1052,14 @@ void SocketTransport::Send(net::NodeId src, net::NodeId dst,
 
 void SocketTransport::Dispatch(net::Packet&& packet) {
   CheckLocal(packet.dst);
-  const Handler& handler = handlers_[packet.dst - options_.rank];
+  Inbox& box = inbox(packet.dst);
+  RunHandler(box, std::move(packet));
+  // Only now may the shm reader inline this rank's next packet.
+  box.pending.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+void SocketTransport::RunHandler(Inbox& box, net::Packet&& packet) {
+  const Handler& handler = box.handler;
   HMDSM_CHECK_MSG(handler, "no handler registered for node " << packet.dst);
   if (packet.src != packet.dst) {
     recorders_[packet.dst].RecordReceived(
@@ -1038,8 +1081,8 @@ std::uint64_t SocketTransport::CounterValue(stats::Ev ev) const {
       return rx_pool_.buffer_allocs();
     case stats::Ev::kMailboxOverflowAllocs: {
       std::uint64_t allocs = 0;
-      for (const runtime::Channel& box : mailboxes_)
-        allocs += box.overflow_allocs();
+      for (const Inbox& box : inboxes_)
+        allocs += box.mailbox.overflow_allocs();
       return allocs;
     }
     default:
@@ -1132,7 +1175,7 @@ void SocketTransport::Stop() {
   // The shm reader pushes into the mailboxes: it must be fully stopped
   // before they close under it.
   if (shm_ != nullptr) shm_->Stop();
-  for (runtime::Channel& m : mailboxes_) m.Close();
+  CloseAll();
   listener_.Close();
   for (Peer& peer : peers_) peer.fd.Close();
   for (IoThread& t : io_) {

@@ -42,6 +42,16 @@
 //     rank's single dispatcher pops, and a self-send is never re-entrant.
 //     Payloads are aliased views of the received wire frame (util::Buf),
 //     never re-copied between the wire and the mailbox.
+//   * Inline dispatch (Deliver, the one delivery path): a data frame the
+//     shm ring reader decodes skips the mailbox and runs the rank's handler
+//     on the reader itself when the rank is idle — no packet of it waiting
+//     in the mailbox or in the dispatcher's hands, and its agent lock (lent
+//     by the Runtime) free by try-lock. That saves the dispatcher's
+//     scheduler wake on every ring message. Everything else — TCP frames,
+//     local sends, a busy rank, frames the reader drains while it waits
+//     inside its own send (shm.h) — takes the mailbox, so per-sender FIFO
+//     holds across the switch. The reactor keeps the mailbox path: inlining
+//     there measured slower on the TCP workload.
 //   * Statistics live in the local ranks' recorders only (send half at
 //     Send, receive half at Dispatch); cluster totals are gathered over
 //     control frames by the netio::Coordinator at the end of a run.
@@ -265,7 +275,7 @@ class SocketTransport final : public runtime::MailboxTransport {
 
   void SetHandler(net::NodeId node, Handler handler) override {
     CheckLocal(node);
-    handlers_[node - options_.rank] = std::move(handler);
+    inbox(node).handler = std::move(handler);
   }
 
   void Send(net::NodeId src, net::NodeId dst, stats::MsgCat cat,
@@ -307,14 +317,16 @@ class SocketTransport final : public runtime::MailboxTransport {
 
   bool WaitPop(net::NodeId node, net::Packet& out) override {
     CheckLocal(node);
-    return mailboxes_[node - options_.rank].WaitPop(out);
+    return inbox(node).mailbox.WaitPop(out);
   }
 
   void Dispatch(net::Packet&& packet) override;
 
   void CloseAll() override {
-    for (runtime::Channel& m : mailboxes_) m.Close();
+    for (Inbox& box : inboxes_) box.mailbox.Close();
   }
+
+  void LendAgentLock(net::NodeId node, std::mutex* agent_lock) override;
 
   std::uint64_t enqueued() const override {
     return enqueued_.load(std::memory_order_acquire);
@@ -395,6 +407,19 @@ class SocketTransport final : public runtime::MailboxTransport {
   net::NodeId PrimaryOf(std::size_t group) const {
     return static_cast<net::NodeId>(group * options_.ranks_per_proc);
   }
+  /// One hosted rank's delivery state.
+  struct Inbox {
+    runtime::Channel mailbox;
+    Handler handler;
+    /// Packets pushed into `mailbox` whose handler has not returned yet.
+    /// Inline dispatch waits for zero, so it never overtakes one of them.
+    std::atomic<std::uint64_t> pending{0};
+    /// The Runtime's agent lock for this rank (null: not lent, never
+    /// inline). Guarded by lend_mu_.
+    std::mutex* agent_lock = nullptr;
+  };
+  Inbox& inbox(net::NodeId node) { return inboxes_[node - options_.rank]; }
+
   void CheckLocal(net::NodeId node) const {
     HMDSM_CHECK_MSG(is_local(node), "process with primary rank "
                                         << options_.rank << " does not host "
@@ -421,11 +446,11 @@ class SocketTransport final : public runtime::MailboxTransport {
   /// Reconciles the peer's epoll registration with read_open/want-write.
   void UpdateEpoll(IoThread& t, Peer& peer, std::size_t group,
                    bool want_write);
-  /// Routes one received frame: data to the destination rank's mailbox
-  /// (payload aliased, not copied), batches split and routed inner-frame
-  /// by inner-frame (`allow_batch` is false for those — a batch may not
-  /// nest), control to the registered handler as the peer's primary rank.
-  /// Dies on malformed or misrouted input.
+  /// Routes one reactor-read frame: data to the destination rank's
+  /// mailbox (payload aliased, not copied), batches split and routed
+  /// inner-frame by inner-frame (`allow_batch` is false for those — a
+  /// batch may not nest), control to the registered handler as the peer's
+  /// primary rank. Dies on malformed or misrouted input.
   void HandleFrame(std::size_t group, const Buf& frame, bool allow_batch);
   /// Heartbeat tick: drains the timerfd and probes every owned live peer.
   void OnTimer(IoThread& t);
@@ -453,8 +478,16 @@ class SocketTransport final : public runtime::MailboxTransport {
   /// that process hosts and a destination rank this process hosts.
   void CheckRoute(std::size_t group, net::NodeId src, net::NodeId dst,
                   const char* kind) const;
-  /// Pushes a packet into its (local) destination rank's mailbox.
-  void Deliver(net::Packet packet);
+  /// Decodes a received kData/kDelta frame and delivers its packet;
+  /// `may_inline` only for the shm reader outside a nested drain.
+  void DeliverData(std::size_t group, FrameType type, const Buf& frame,
+                   bool may_inline);
+  /// The one delivery path into a local rank: runs the handler right here
+  /// when `may_inline` and the rank is idle (see the file comment), else
+  /// pushes the packet into the rank's mailbox.
+  void Deliver(net::Packet packet, bool may_inline);
+  /// Receive accounting plus the handler, under the rank's agent lock.
+  void RunHandler(Inbox& box, net::Packet&& packet);
   /// The one enqueue path toward process `group`. Under the link lock, a
   /// retired link — or, when `forgiving`, a closing one — drops the frame
   /// and counts it (false); a strict send after Stop() aborts. Otherwise
@@ -479,8 +512,10 @@ class SocketTransport final : public runtime::MailboxTransport {
   std::size_t group_ = 0;        // this process's index in the mesh
   std::size_t group_count_ = 1;  // processes in the mesh
   std::vector<net::NodeId> local_ranks_;
-  std::deque<runtime::Channel> mailboxes_;  // one per local rank
-  std::vector<Handler> handlers_;           // one per local rank
+  std::deque<Inbox> inboxes_;  // one per local rank
+  /// Guards every Inbox::agent_lock. The shm reader holds it (try-locked)
+  /// across an inline delivery, so a withdrawal waits that delivery out.
+  std::mutex lend_mu_;
   ControlHandler control_handler_;
   PeerDownHandler peer_down_handler_;
   std::deque<stats::Recorder> recorders_;  // local ranks real, others zero

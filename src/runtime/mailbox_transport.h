@@ -14,12 +14,30 @@
 //     shared-memory ring), and the reactor threads feed received packets
 //     into the local mailboxes.
 //
+// Inline dispatch: the Runtime lends each hosted node's agent lock to the
+// transport (LendAgentLock). A transport whose receive thread finds the
+// destination idle — nothing of it in the mailbox or a dispatcher's hands,
+// and its agent lock free by try-lock — may run the handler right there,
+// saving the dispatcher's scheduler wake. Only netio::SocketTransport's shm
+// ring reader does (see its Deliver); the invariants it keeps:
+//   * per-sender FIFO: a frame is never inlined while an earlier packet
+//     for the same node still waits in the mailbox;
+//   * the receive thread never blocks on an agent lock (try-lock only), so
+//     one hosted node's handler cannot stall another node's delivery;
+//   * enqueued/dispatched bracket every inline delivery like a mailbox one;
+//   * no inline delivery starts once the lock is withdrawn (Runtime::
+//     Shutdown); later packets meet the mailbox, closed or not.
+// Tests: netio_socket_transport_test (InlineDispatch.*).
+//
 // The enqueued/dispatched counters cover every packet that enters a
-// *local* mailbox (self-sends included); `enqueued() == dispatched()` with
-// no local worker running means this process is locally quiescent. On the
-// sockets backend that is only one conjunct of cluster quiescence — the
-// netio coordinator combines it with matched wire counters across ranks.
+// *local* mailbox (self-sends included) or is dispatched inline;
+// `enqueued() == dispatched()` with no local worker running means this
+// process is locally quiescent. On the sockets backend that is only one
+// conjunct of cluster quiescence — the netio coordinator combines it with
+// matched wire counters across ranks.
 #pragma once
+
+#include <mutex>
 
 #include "src/net/transport.h"
 
@@ -40,7 +58,18 @@ class MailboxTransport : public net::Transport {
   /// with false.
   virtual void CloseAll() = 0;
 
-  /// Packets pushed into / fully handled from local mailboxes so far.
+  /// Lends hosted `node`'s agent lock (nullptr withdraws it). While lent,
+  /// the transport may hand a packet to `node`'s handler on its own
+  /// receive thread, under a try-lock of `agent_lock` (file comment).
+  /// Withdrawal blocks until no such delivery is in flight. Default: the
+  /// transport never dispatches inline.
+  virtual void LendAgentLock(net::NodeId node, std::mutex* agent_lock) {
+    (void)node;
+    (void)agent_lock;
+  }
+
+  /// Packets delivered to local nodes (pushed into a mailbox or
+  /// dispatched inline) / fully handled so far.
   virtual std::uint64_t enqueued() const = 0;
   virtual std::uint64_t dispatched() const = 0;
 

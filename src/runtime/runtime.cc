@@ -54,7 +54,9 @@ void Runtime::Init() {
     cells_[n] = std::move(cell);
   }
   // Handlers are all registered (agent constructors); only now may traffic
-  // start flowing, so the dispatcher threads start last.
+  // start flowing, so the locks are lent and the dispatchers start last.
+  for (dsm::NodeId n : local_nodes_)
+    transport_.LendAgentLock(n, &cells_[n]->mu);
   dispatchers_.reserve(local_nodes_.size());
   for (dsm::NodeId n : local_nodes_)
     dispatchers_.emplace_back([this, n] { DispatchLoop(n); });
@@ -172,6 +174,9 @@ stats::Recorder Runtime::SnapshotRecorder(dsm::NodeId node) const {
 void Runtime::Shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
+  // No inline delivery may start from here on: whatever still arrives
+  // goes through the mailboxes, which the dispatchers drain below.
+  for (dsm::NodeId n : local_nodes_) transport_.LendAgentLock(n, nullptr);
   // Drain before closing: a blocking op that just returned (a fault-in, a
   // lock release) can leave follow-on traffic in flight — a migration
   // notification, a forwarded diff — and the dispatcher handling it would

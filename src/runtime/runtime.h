@@ -5,7 +5,13 @@
 // execution is real:
 //
 //   * every node has a *dispatcher* std::thread draining its mailbox and
-//     running the agent's message handlers;
+//     running the agent's message handlers. The Runtime also lends each
+//     node's agent lock to the transport (Init; withdrawn first thing in
+//     Shutdown): the sockets transport's shm ring reader then runs a
+//     handler itself when the node is idle — empty mailbox, nothing in the
+//     dispatcher's hands, agent lock free by try-lock — and leaves every
+//     other packet to the dispatcher (runtime/mailbox_transport.h has the
+//     invariants). The threads backend never inlines;
 //   * application workers are plain std::threads that enter the blocking
 //     Agent API through a Guest context bound to one node;
 //   * one mutex per node (the "agent lock") serializes all access to that

@@ -46,6 +46,7 @@ std::string_view EvName(Ev ev) {
     case Ev::kWireDeltaMisses: return "wire_delta_misses";
     case Ev::kWireDeltaBytesSaved: return "wire_delta_bytes_saved";
     case Ev::kShmMsgs: return "shm_msgs";
+    case Ev::kInlineDispatches: return "inline_dispatches";
     case Ev::kMailboxOverflowAllocs: return "mailbox_overflow_allocs";
     case Ev::kRxBufferAllocs: return "rx_buffer_allocs";
     case Ev::kHolInherited: return "hol_inherited";

@@ -52,6 +52,8 @@ enum class Ev : std::uint8_t {
                         // diff not smaller)
   kWireDeltaBytesSaved, // full-frame bytes minus delta-frame bytes, summed
   kShmMsgs,             // data frames that took the shared-memory ring
+  kInlineDispatches,    // received packets whose handler the shm ring
+                        // reader ran itself, skipping the mailbox
   kMailboxOverflowAllocs, // overflow nodes allocated (not pool-recycled)
   kRxBufferAllocs,      // receive-path buffers allocated (not pool-recycled)
   // Threads backend, latency injection only: deliveries that overshot

@@ -51,7 +51,7 @@ class RingPair {
     HMDSM_CHECK_MSG(tx_->AttachPeer(1, rx_->segment_name(), &error),
                     "attach: " << error);
     rx_->StartReader(
-        [this](std::size_t src, Buf frame) {
+        [this](std::size_t src, Buf frame, bool) {
           std::lock_guard lock(mu_);
           EXPECT_EQ(src, 0u);
           frames_.push_back(std::move(frame));
