@@ -115,20 +115,15 @@ netio::SocketTransportOptions ToSocketOptions(const VmOptions& o) {
   return s;
 }
 
-std::vector<dsm::NodeId> LocalRanks(const netio::SocketTransport& t) {
-  return {t.local_ranks().begin(), t.local_ranks().end()};
-}
-
 class SocketsBackend final : public VmBackend {
  public:
   SocketsBackend(Vm& vm, const VmOptions& options)
       : vm_(vm),
         options_(options),
         transport_(ToSocketOptions(options)),
-        rt_(ToRuntimeOptions(options, &trace_), transport_,
-            LocalRanks(transport_)),
+        rt_(ToRuntimeOptions(options, &trace_), transport_),
         coord_(transport_, rt_, options.start_node),
-        lead_(transport_.is_local(options.start_node)) {
+        lead_(transport_.hosts(options.start_node)) {
     if (!options_.trace_out.empty()) trace_.Enable();
     transport_.Start();
     transport_.AwaitConnected();
@@ -466,8 +461,8 @@ class SocketsBackend final : public VmBackend {
     // rank's own time-series rides along as counter tracks (pid = rank).
     if (!options_.trace_out.empty()) {
       const stats::Timeseries series = rt_.Totals().Series();
-      const net::NodeId first = transport_.local_ranks().front();
-      const net::NodeId last = transport_.local_ranks().back();
+      const net::NodeId first = transport_.hosted().front();
+      const net::NodeId last = transport_.hosted().back();
       const std::string label =
           first == last
               ? "hmdsm rank " + std::to_string(first)

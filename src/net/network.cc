@@ -7,20 +7,16 @@
 namespace hmdsm::net {
 
 void Network::Send(NodeId src, NodeId dst, stats::MsgCat cat, Buf payload) {
-  HMDSM_CHECK(src < handlers_.size() && dst < handlers_.size());
+  HMDSM_CHECK(src < node_count() && dst < node_count());
   Packet packet{src, dst, cat, std::move(payload)};
   if (src == dst) {
     // Local handoff: no wire traffic, no latency, but still asynchronous so
     // the handler never runs re-entrantly inside the sender's call stack.
-    kernel_.ScheduleAfter(0, [this, p = std::make_shared<Packet>(
-                                  std::move(packet))]() mutable {
-      Deliver(std::move(*p));
-    });
+    ScheduleReceive(kernel_.now(), std::move(packet));
     return;
   }
-  const std::size_t wire_bytes = packet.payload.size() + kHeaderBytes;
-  recorders_[src].RecordMessage(cat, wire_bytes);
-  recorders_[src].RecordSent(src, wire_bytes);
+  const std::size_t wire_bytes =
+      ChargeSend(src, cat, packet.payload.size());
   ++packets_sent_;
   sim::Time arrival;
   if (model_tx_occupancy_) {
@@ -35,22 +31,14 @@ void Network::Send(NodeId src, NodeId dst, stats::MsgCat cat, Buf payload) {
   } else {
     arrival = kernel_.now() + model_.Latency(wire_bytes);
   }
-  kernel_.ScheduleAt(
-      arrival,
-      [this, p = std::make_shared<Packet>(std::move(packet))]() mutable {
-        Deliver(std::move(*p));
-      });
+  ScheduleReceive(arrival, std::move(packet));
 }
 
-void Network::Deliver(Packet&& packet) {
-  Handler& handler = handlers_[packet.dst];
-  HMDSM_CHECK_MSG(handler, "no handler registered for node " << packet.dst);
-  if (packet.src != packet.dst) {
-    recorders_[packet.dst].RecordReceived(packet.dst,
-                                          packet.payload.size() +
-                                              kHeaderBytes);
-  }
-  handler(std::move(packet));
+void Network::ScheduleReceive(sim::Time at, Packet&& packet) {
+  kernel_.ScheduleAt(
+      at, [this, p = std::make_shared<Packet>(std::move(packet))]() mutable {
+        Receive(std::move(*p));
+      });
 }
 
 }  // namespace hmdsm::net

@@ -1,13 +1,13 @@
 // Simulated cluster interconnect — the sim backend's Transport.
 //
-// Point-to-point delivery with Hockney latency, per-category message/byte
-// accounting into per-node recorders, and kernel-context delivery
-// callbacks. Handlers registered by the DSM agents must be non-blocking
-// (they run inside the event loop).
+// What the simulator adds to the delivery core (net/transport.h): Hockney
+// latency, sender NIC occupancy and virtual-time delivery events. Charging
+// and handler dispatch are the core's ChargeSend/Receive. Handlers
+// registered by the DSM agents must be non-blocking (they run inside the
+// event loop).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "src/net/hockney.h"
@@ -22,22 +22,13 @@ class Network final : public Transport {
  public:
   Network(sim::Kernel& kernel, HockneyModel model, std::size_t node_count,
           bool model_tx_occupancy = true)
-      : kernel_(kernel),
+      : Transport(node_count),
+        kernel_(kernel),
         model_(model),
-        handlers_(node_count),
-        recorders_(node_count),
         tx_free_(node_count, 0),
-        model_tx_occupancy_(model_tx_occupancy) {
-    for (stats::Recorder& r : recorders_) r.SetNodeCount(node_count);
-  }
+        model_tx_occupancy_(model_tx_occupancy) {}
 
-  std::size_t node_count() const override { return handlers_.size(); }
   const HockneyModel& model() const { return model_; }
-
-  void SetHandler(NodeId node, Handler handler) override {
-    HMDSM_CHECK(node < handlers_.size());
-    handlers_[node] = std::move(handler);
-  }
 
   /// Sends a message. An isolated message is delivered after the Hockney
   /// latency t(m) = t0 + m/r∞. Under load, the sender's NIC serializes
@@ -52,25 +43,15 @@ class Network final : public Transport {
   /// Virtual time.
   sim::Time Now() const override { return kernel_.now(); }
 
-  stats::Recorder& RecorderFor(NodeId node) override {
-    HMDSM_CHECK(node < recorders_.size());
-    return recorders_[node];
-  }
-  const stats::Recorder& RecorderFor(NodeId node) const override {
-    HMDSM_CHECK(node < recorders_.size());
-    return recorders_[node];
-  }
-
   /// Total messages delivered so far (self-sends excluded).
   std::uint64_t packets_sent() const { return packets_sent_; }
 
  private:
-  void Deliver(Packet&& packet);
+  /// Schedules `packet`'s receive step at virtual time `at`.
+  void ScheduleReceive(sim::Time at, Packet&& packet);
 
   sim::Kernel& kernel_;
   HockneyModel model_;
-  std::vector<Handler> handlers_;
-  std::deque<stats::Recorder> recorders_;  // per node; deque: stable refs
   std::vector<sim::Time> tx_free_;  // per-node NIC transmit availability
   bool model_tx_occupancy_;
   std::uint64_t packets_sent_ = 0;

@@ -6,11 +6,12 @@
 //
 //   * net::Network            — the simulated fabric: Hockney latency, NIC
 //     occupancy, virtual-time delivery inside the discrete-event kernel.
-//   * runtime::ChannelTransport — the in-process threads backend: per-node
-//     mailboxes drained by dispatcher threads, wall-clock Now().
+//   * runtime::ChannelTransport — the in-process threads backend: the
+//     mailbox core's per-node mailboxes drained by dispatcher threads,
+//     wall-clock Now().
 //   * netio::SocketTransport  — the multi-process sockets backend: the
-//     same mailboxes for hosted ranks, TCP or shared-memory rings between
-//     processes.
+//     same mailbox core for hosted ranks, TCP or shared-memory rings
+//     between processes.
 //
 // Delivery contract (every implementation honours it, the protocol relies
 // on it):
@@ -23,6 +24,14 @@
 //   * self-sends are delivered asynchronously (never re-entrantly inside
 //     the sender's call stack) and are not charged to the wire.
 //
+// The delivery core lives here, once, for every implementation: the
+// handler table, the per-node stats::Recorder table, the send-side charge
+// (ChargeSend) and the receive step (Receive: the receive half, then the
+// handler). An implementation adds only how a packet travels — virtual
+// time on the simulator, mailboxes and a wall clock in
+// runtime::MailboxTransport (channel.h, netio/socket_transport.h) — so the
+// paper's message counts cannot depend on the backend that produced them.
+//
 // Statistics are per-node: every node has its own stats::Recorder so the
 // threads backend needs no global counter locking. The send side of a
 // message is recorded by the sender (under the sender's serialization),
@@ -31,11 +40,14 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <vector>
 
 #include "src/sim/time.h"
 #include "src/stats/stats.h"
 #include "src/util/bytes.h"
+#include "src/util/check.h"
 
 namespace hmdsm::net {
 
@@ -71,13 +83,16 @@ class Transport {
 
   using Handler = std::function<void(Packet&&)>;
 
+  /// A cluster of `node_count` nodes: one handler slot and one recorder
+  /// each.
+  explicit Transport(std::size_t node_count);
   virtual ~Transport() = default;
 
-  virtual std::size_t node_count() const = 0;
+  std::size_t node_count() const { return handlers_.size(); }
 
   /// Registers the delivery callback for `node`. Must be set before any
   /// message addressed to that node arrives.
-  virtual void SetHandler(NodeId node, Handler handler) = 0;
+  void SetHandler(NodeId node, Handler handler);
 
   /// Sends a message from `src` to `dst`. The payload Buf is moved, not
   /// copied — callers typically pass `proto::Encode(msg)` straight through.
@@ -97,17 +112,38 @@ class Transport {
 
   /// Node-local statistics sink. Each node's recorder is only ever mutated
   /// under that node's serialization (kernel baton / node agent lock).
-  virtual stats::Recorder& RecorderFor(NodeId node) = 0;
-  virtual const stats::Recorder& RecorderFor(NodeId node) const = 0;
+  stats::Recorder& RecorderFor(NodeId node) {
+    HMDSM_CHECK(node < recorders_.size());
+    return recorders_[node];
+  }
+  const stats::Recorder& RecorderFor(NodeId node) const {
+    HMDSM_CHECK(node < recorders_.size());
+    return recorders_[node];
+  }
 
   /// Run totals: the per-node recorders merged into one. Callers on the
   /// threads backend must be quiescent (or hold every node lock) first.
   stats::Recorder Totals() const;
 
   /// Zeroes every per-node recorder (start of a measured window).
-  /// Transports with stats state outside the recorders (the socket
-  /// transport's wire counters) override to re-baseline it too.
+  /// Transports with stats state outside the recorders (mailbox and wire
+  /// counters) override to re-baseline it too.
   virtual void ResetStats();
+
+ protected:
+  /// The send-side charge of one cross-node message of `payload_bytes`:
+  /// its category traffic and `src`'s sent half. Called under `src`'s
+  /// serialization; self-sends are never charged. Returns the wire bytes.
+  std::size_t ChargeSend(NodeId src, stats::MsgCat cat,
+                         std::size_t payload_bytes);
+
+  /// The receive step, under `packet.dst`'s serialization: the receive half
+  /// (cross-node packets only), then the registered handler.
+  void Receive(Packet&& packet);
+
+ private:
+  std::vector<Handler> handlers_;
+  std::deque<stats::Recorder> recorders_;  // per node; deque: stable refs
 };
 
 }  // namespace hmdsm::net

@@ -58,7 +58,7 @@ class Coordinator {
 
   /// True when this *process* hosts the lead rank (with multi-rank hosting
   /// the lead is a rank, but the control plane runs per process).
-  bool is_lead() const { return transport_.is_local(lead_); }
+  bool is_lead() const { return transport_.hosts(lead_); }
   net::NodeId lead() const { return lead_; }
 
   /// Pure rate computation for one live-metrics poll sample: the message

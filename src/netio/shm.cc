@@ -411,10 +411,8 @@ void ShmTransport::ReaderMain() {
   }
 }
 
-void ShmTransport::Stop() {
-  if (stopped_) return;
-  stopped_ = true;
-  stopping_.store(true, std::memory_order_release);
+void ShmTransport::Interrupt() {
+  if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
   // Close our inbound segment (unblocks peers' writers) and kick every
   // doorbell we might be sleeping on or a peer might be parked on.
   SegHdr* own_hdr = Hdr(own_.base);
@@ -427,6 +425,12 @@ void ShmTransport::Stop() {
     rh->space_db.fetch_add(1, std::memory_order_release);
     FutexWake(&rh->space_db);
   }
+}
+
+void ShmTransport::Stop() {
+  if (stopped_) return;
+  stopped_ = true;
+  Interrupt();
   if (reader_started_) reader_.join();
   for (Mapping& m : peer_segs_) {
     Unmap(m.base, m.bytes, m.fd);

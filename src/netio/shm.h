@@ -20,7 +20,11 @@
 //
 // Synchronization: head/tail are release/acquire atomics in the mapped
 // region — they carry the happens-before for the plain-byte copies, so the
-// protocol is correct (and TSan-clean) independent of the futexes. The
+// protocol is correct independent of the futexes. ThreadSanitizer cannot
+// check that argument: writer and reader reach the cursors through two
+// different mappings of the segment, so TSan sees no happens-before
+// through a ring — it may report ring-ordered accesses as races, and it
+// cannot catch a real race whose only ordering is the ring. The
 // futexes are pure sleep/wake: a parked reader advertises itself in
 // reader_waiting and waits on the segment doorbell; a writer bumps the
 // doorbell after publishing and issues FUTEX_WAKE only when a reader is
@@ -135,9 +139,15 @@ class ShmTransport {
   /// bytes are drained now instead of at the next timeout).
   void KickReader();
 
-  /// Marks the segment closed, wakes every sleeper, joins the reader.
-  /// Idempotent. In-flight WriteFrame calls (ours and peers') unblock and
-  /// return false.
+  /// The first half of Stop: raises stopping_, marks the segment closed
+  /// and kicks every doorbell, so in-flight WriteFrame calls (ours and
+  /// peers') unblock and return false. Joins and unmaps nothing, so it is
+  /// safe before the caller takes the link locks a blocked writer holds.
+  /// Idempotent.
+  void Interrupt();
+
+  /// Interrupt, then joins the reader and unmaps both directions.
+  /// Idempotent.
   void Stop();
 
  private:

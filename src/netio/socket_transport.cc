@@ -43,34 +43,35 @@ std::uint64_t DeltaKey(net::NodeId dst, std::uint64_t obj) {
   return obj ^ (static_cast<std::uint64_t>(dst) * 0x9E3779B97F4A7C15ULL);
 }
 
+/// The number of ranks the process with primary `o.rank` hosts, after
+/// checking the mesh shape the options describe.
+std::size_t HostedRankCount(const SocketTransportOptions& o) {
+  const std::size_t n = o.peers.size();
+  HMDSM_CHECK_MSG(n >= 1 && n <= 0x10000, "peer list size out of range");
+  const std::size_t k = o.ranks_per_proc;
+  HMDSM_CHECK_MSG(k >= 1 && k <= n,
+                  "ranks_per_proc " << k << " out of range for " << n
+                                    << " ranks");
+  HMDSM_CHECK_MSG(o.rank < n, "rank " << o.rank << " outside peer list of "
+                                      << n);
+  HMDSM_CHECK_MSG(o.rank % k == 0, "rank " << o.rank
+                                           << " is not a process primary "
+                                           << "(ranks_per_proc=" << k << ")");
+  return std::min(k, n - o.rank);
+}
 
 }  // namespace
 
 SocketTransport::SocketTransport(SocketTransportOptions options)
-    : options_(std::move(options)),
-      recorders_(options_.peers.size()),
-      epoch_(std::chrono::steady_clock::now()) {
+    : MailboxTransport(options.peers.size(), options.rank,
+                       HostedRankCount(options)),
+      options_(std::move(options)) {
   const std::size_t n = options_.peers.size();
-  HMDSM_CHECK_MSG(n >= 1 && n <= 0x10000, "peer list size out of range");
   const std::size_t k = options_.ranks_per_proc;
-  HMDSM_CHECK_MSG(k >= 1 && k <= n,
-                  "ranks_per_proc " << k << " out of range for " << n
-                                    << " ranks");
-  HMDSM_CHECK_MSG(options_.rank < n, "rank " << options_.rank
-                                             << " outside peer list of " << n);
-  HMDSM_CHECK_MSG(options_.rank % k == 0,
-                  "rank " << options_.rank << " is not a process primary "
-                          << "(ranks_per_proc=" << k << ")");
   group_ = options_.rank / k;
   group_count_ = (n + k - 1) / k;
-  const std::size_t local_count = std::min(k, n - options_.rank);
-  local_ranks_.reserve(local_count);
-  for (std::size_t i = 0; i < local_count; ++i)
-    local_ranks_.push_back(static_cast<net::NodeId>(options_.rank + i));
-  inboxes_.resize(local_count);
   for (std::size_t g = 0; g < group_count_; ++g)
     peers_.emplace_back(&rx_pool_);
-  for (stats::Recorder& r : recorders_) r.SetNodeCount(n);
 }
 
 SocketTransport::~SocketTransport() { Stop(); }
@@ -672,7 +673,7 @@ net::Packet SocketTransport::ReceiveDelta(std::size_t group,
 void SocketTransport::CheckRoute(std::size_t group, net::NodeId src,
                                  net::NodeId dst, const char* kind) const {
   if (src >= options_.peers.size() || GroupOf(src) != group ||
-      !is_local(dst)) {
+      !hosts(dst)) {
     Die(std::string("misrouted ") + kind + " frame from process " +
         std::to_string(group) + " (claims " + std::to_string(src) + "->" +
         std::to_string(dst) + ")");
@@ -685,39 +686,6 @@ void SocketTransport::DeliverData(std::size_t group, FrameType type,
                                                 : ReceiveDelta(group, frame);
   wire_received_.fetch_add(1, std::memory_order_acq_rel);
   Deliver(std::move(packet), may_inline);
-}
-
-void SocketTransport::Deliver(net::Packet packet, bool may_inline) {
-  Inbox& box = inbox(packet.dst);
-  // Count first, exactly like the channel transport: once a handler or the
-  // dispatcher can see the packet, enqueued() must already cover it.
-  enqueued_.fetch_add(1, std::memory_order_acq_rel);
-  // Inline only when nothing for this rank is queued or being handled:
-  // those packets may come from this frame's sender, and must run first.
-  // Every test here is a try — the caller is the shm reader, which other
-  // ranks' frames wait behind.
-  if (may_inline && box.pending.load(std::memory_order_acquire) == 0) {
-    std::unique_lock lend(lend_mu_, std::try_to_lock);
-    if (lend.owns_lock() && box.agent_lock != nullptr) {
-      std::unique_lock agent(*box.agent_lock, std::try_to_lock);
-      if (agent.owns_lock()) {
-        // Under the agent lock, like every recorder write. No dwell is
-        // recorded (enqueued_at stays 0): the packet never sat anywhere.
-        recorders_[packet.dst].Bump(stats::Ev::kInlineDispatches);
-        RunHandler(box, std::move(packet));
-        return;
-      }
-    }
-  }
-  box.pending.fetch_add(1, std::memory_order_acq_rel);
-  packet.enqueued_at = Now();
-  box.mailbox.Push(std::move(packet));
-}
-
-void SocketTransport::LendAgentLock(net::NodeId node, std::mutex* agent_lock) {
-  CheckLocal(node);
-  std::lock_guard lock(lend_mu_);
-  inbox(node).agent_lock = agent_lock;
 }
 
 void SocketTransport::OnTimer(IoThread& t) {
@@ -1017,78 +985,32 @@ void SocketTransport::BroadcastControl(const Bytes& frame) {
 
 void SocketTransport::Send(net::NodeId src, net::NodeId dst,
                            stats::MsgCat cat, Buf payload) {
-  HMDSM_CHECK_MSG(is_local(src), "process with primary rank "
-                                     << options_.rank << " cannot send as "
-                                     << "node " << src);
-  HMDSM_CHECK(dst < options_.peers.size());
-  if (is_local(dst)) {
-    if (dst != src) {
-      // Cross-rank within the process: charged to the recorders exactly
-      // like the in-process channel transport (the cluster's message
-      // totals must not depend on how ranks are packed into processes),
-      // but never wire traffic — the wire counters stay a pure
-      // conservation law for the quiescence probe.
-      const std::size_t wire_bytes = payload.size() + kHeaderBytes;
-      recorders_[src].RecordMessage(cat, wire_bytes);
-      recorders_[src].RecordSent(src, wire_bytes);
-    }
+  HMDSM_CHECK_MSG(hosts(src), "process with primary rank "
+                                  << options_.rank << " cannot send as "
+                                  << "node " << src);
+  HMDSM_CHECK(dst < node_count());
+  // Send() runs under the source's agent lock, which serializes the
+  // recorder. Cross-rank sends within the process are charged too (the
+  // cluster's message totals must not depend on how ranks are packed into
+  // processes); a self-send is not.
+  if (dst != src) ChargeSend(src, cat, payload.size());
+  if (hosts(dst)) {
     // Through the destination's mailbox (asynchronous delivery), never the
-    // wire; a self-send is not charged — identical to the in-process
-    // transports.
+    // wire: the wire counters stay a pure conservation law for the
+    // quiescence probe.
     Deliver(net::Packet{src, dst, cat, std::move(payload)},
             /*may_inline=*/false);
     return;
   }
-  const std::size_t wire_bytes = payload.size() + kHeaderBytes;
-  // Send() runs under the source's agent lock, which serializes the
-  // recorder.
-  recorders_[src].RecordMessage(cat, wire_bytes);
-  recorders_[src].RecordSent(src, wire_bytes);
   // Count before the frame becomes visible to the reactor: quiescence must
   // never observe a receive without its matching send.
   wire_sent_.fetch_add(1, std::memory_order_acq_rel);
   SendData(dst, DataFrame{src, dst, cat, std::move(payload)});
 }
 
-void SocketTransport::Dispatch(net::Packet&& packet) {
-  CheckLocal(packet.dst);
-  Inbox& box = inbox(packet.dst);
-  RunHandler(box, std::move(packet));
-  // Only now may the shm reader inline this rank's next packet.
-  box.pending.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void SocketTransport::RunHandler(Inbox& box, net::Packet&& packet) {
-  const Handler& handler = box.handler;
-  HMDSM_CHECK_MSG(handler, "no handler registered for node " << packet.dst);
-  if (packet.src != packet.dst) {
-    recorders_[packet.dst].RecordReceived(
-        packet.dst, packet.payload.size() + kHeaderBytes);
-  }
-  if (packet.enqueued_at > 0) {
-    const sim::Time age = Now() - packet.enqueued_at;
-    recorders_[packet.dst].RecordLatency(
-        stats::Lat::kMailboxDwell,
-        static_cast<std::uint64_t>(age > 0 ? age : 0));
-  }
-  handler(std::move(packet));
-  dispatched_.fetch_add(1, std::memory_order_acq_rel);
-}
-
 std::uint64_t SocketTransport::CounterValue(stats::Ev ev) const {
-  switch (ev) {
-    case stats::Ev::kRxBufferAllocs:
-      return rx_pool_.buffer_allocs();
-    case stats::Ev::kMailboxOverflowAllocs: {
-      std::uint64_t allocs = 0;
-      for (const Inbox& box : inboxes_)
-        allocs += box.mailbox.overflow_allocs();
-      return allocs;
-    }
-    default:
-      return evs_[static_cast<std::size_t>(ev)].load(
-          std::memory_order_acquire);
-  }
+  if (ev == stats::Ev::kRxBufferAllocs) return rx_pool_.buffer_allocs();
+  return evs_[static_cast<std::size_t>(ev)].load(std::memory_order_acquire);
 }
 
 void SocketTransport::ResetStats() {
@@ -1103,6 +1025,7 @@ void SocketTransport::ResetStats() {
 
 void SocketTransport::AugmentSnapshot(net::NodeId node,
                                       stats::Recorder& into) const {
+  MailboxTransport::AugmentSnapshot(node, into);
   // The counters are process-level: fold them once, into the primary.
   if (node != options_.rank) return;
   for (std::size_t e = 0; e < stats::kNumEvs; ++e) {
@@ -1158,6 +1081,9 @@ void SocketTransport::Stop() {
   // drain is final.
   if (listener_.valid()) ::shutdown(listener_.get(), SHUT_RDWR);
   if (connector_.joinable()) connector_.join();
+  // Wake any ring writer parked on a full ring first: it holds its link's
+  // lock, which the loop below takes.
+  if (shm_ != nullptr) shm_->Interrupt();
   // No further enqueues; the reactor pool drains what is queued, half-
   // closes every link, and exits.
   for (Peer& peer : peers_) {

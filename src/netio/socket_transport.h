@@ -11,6 +11,14 @@
 // connection loudly. All ranks sharing a process exchange messages through
 // local mailboxes without touching the wire.
 //
+// Delivery is runtime::MailboxTransport's one core (mailbox_transport.h):
+// the hosted ranks' mailboxes, handlers, recorders, the inline-or-mailbox
+// Deliver rule and the dispatchers' Dispatch. With every rank in one
+// process there is no wire, and this class is that core and nothing else.
+// What it adds is how a packet travels between processes: the reactor,
+// the shm rings, the wire delta caches, the link stats and its Ev
+// counters.
+//
 // I/O model: an epoll reactor. A small pool of I/O threads (io_threads,
 // default 4 — independent of rank count) owns the peer sockets
 // round-robin; all sockets are nonblocking. The record format, its length
@@ -25,9 +33,9 @@
 // Data path and the delivery contract (see net/transport.h):
 //   * Send() is always called under the source node's agent lock, so sends
 //     are serialized at the source. A send between two ranks of the same
-//     process goes straight into the destination's mailbox (charged to the
-//     recorders like the in-process channel transport, but never counted
-//     as wire traffic); a remote send is framed and appended to the
+//     process goes straight into the destination's mailbox (charged by the
+//     core's ChargeSend like on every transport, but never counted as
+//     wire traffic); a remote send is framed and appended to the
 //     destination process's connection queue. The sender's enqueue order
 //     is a sub-order of the connection's total order and TCP preserves it,
 //     so per-sender FIFO survives connection sharing.
@@ -37,23 +45,20 @@
 //     write up to a size/count budget. Batching preserves queue order
 //     exactly, so FIFO survives.
 //   * Received frames are decoded defensively (peer input is untrusted)
-//     and data packets are pushed into the destination rank's mailbox —
-//     the same mailbox local sends use, so delivery order is whatever that
-//     rank's single dispatcher pops, and a self-send is never re-entrant.
-//     Payloads are aliased views of the received wire frame (util::Buf),
-//     never re-copied between the wire and the mailbox.
-//   * Inline dispatch (Deliver, the one delivery path): a data frame the
-//     shm ring reader decodes skips the mailbox and runs the rank's handler
-//     on the reader itself when the rank is idle — no packet of it waiting
-//     in the mailbox or in the dispatcher's hands, and its agent lock (lent
-//     by the Runtime) free by try-lock. That saves the dispatcher's
-//     scheduler wake on every ring message. Everything else — TCP frames,
-//     local sends, a busy rank, frames the reader drains while it waits
-//     inside its own send (shm.h) — takes the mailbox, so per-sender FIFO
-//     holds across the switch. The reactor keeps the mailbox path: inlining
-//     there measured slower on the TCP workload.
+//     and data packets go through the core's Deliver into the destination
+//     rank's mailbox — the same mailbox local sends use, so delivery order
+//     is whatever that rank's single dispatcher pops, and a self-send is
+//     never re-entrant. Payloads are aliased views of the received wire
+//     frame (util::Buf), never re-copied between the wire and the mailbox.
+//   * Inline dispatch: only the shm ring reader passes may_inline to
+//     Deliver, so a ring frame for an idle rank runs its handler on the
+//     reader and saves the dispatcher's scheduler wake. Everything else —
+//     TCP frames, local sends, frames the reader drains while it waits
+//     inside its own send (shm.h) — takes the mailbox. The reactor keeps
+//     the mailbox path: inlining there measured slower on the TCP
+//     workload.
 //   * Statistics live in the local ranks' recorders only (send half at
-//     Send, receive half at Dispatch); cluster totals are gathered over
+//     Send, receive half at delivery); cluster totals are gathered over
 //     control frames by the netio::Coordinator at the end of a run.
 //
 // Control frames (thread start/done, quiescence probes, stats, shutdown)
@@ -108,7 +113,6 @@
 #include "src/netio/frame.h"
 #include "src/netio/shm.h"
 #include "src/netio/socket.h"
-#include "src/runtime/channel.h"
 #include "src/runtime/mailbox_transport.h"
 #include "src/util/bufpool.h"
 
@@ -183,13 +187,8 @@ class SocketTransport final : public runtime::MailboxTransport {
   SocketTransport(const SocketTransport&) = delete;
   SocketTransport& operator=(const SocketTransport&) = delete;
 
-  /// This process's primary (lowest hosted) rank.
+  /// This process's primary (lowest hosted) rank; hosted() lists them all.
   net::NodeId rank() const { return options_.rank; }
-  /// Every rank this process hosts, ascending (primary first).
-  const std::vector<net::NodeId>& local_ranks() const { return local_ranks_; }
-  bool is_local(net::NodeId node) const {
-    return node < options_.peers.size() && GroupOf(node) == group_;
-  }
   /// OS processes in the mesh — the unit the control fan-ins count.
   std::size_t process_count() const { return group_count_; }
   /// Consecutive ranks each process hosts (the last may host fewer).
@@ -264,76 +263,30 @@ class SocketTransport final : public runtime::MailboxTransport {
     shutting_down_.store(true, std::memory_order_release);
   }
 
-  /// Flushes and half-closes every peer link, closes the local mailboxes,
+  /// Wakes any writer parked on a full shm ring (it returns false), then
+  /// flushes and half-closes every peer link, closes the local mailboxes,
   /// and joins the reactor pool. Requires every process to reach its own
   /// Stop() (the coordinator's shutdown barrier guarantees it). Idempotent.
   void Stop();
 
-  // ---- net::Transport ----
+  // ---- the transport seam ----
 
-  std::size_t node_count() const override { return options_.peers.size(); }
-
-  void SetHandler(net::NodeId node, Handler handler) override {
-    CheckLocal(node);
-    inbox(node).handler = std::move(handler);
-  }
-
+  /// Charges the send, then delivers into a hosted rank's mailbox or
+  /// frames the packet toward its process.
   void Send(net::NodeId src, net::NodeId dst, stats::MsgCat cat,
             Buf payload) override;
 
-  /// Wall-clock nanoseconds since transport construction.
-  sim::Time Now() const override {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
-  }
-
-  /// Only the local ranks' recorders accumulate anything; remote slots are
-  /// zero-filled placeholders so base-class Totals()/ResetStats() see a
-  /// full table (cluster-wide totals come from the coordinator's gather).
-  stats::Recorder& RecorderFor(net::NodeId node) override {
-    HMDSM_CHECK(node < recorders_.size());
-    return recorders_[node];
-  }
-  const stats::Recorder& RecorderFor(net::NodeId node) const override {
-    HMDSM_CHECK(node < recorders_.size());
-    return recorders_[node];
-  }
-
-  /// Re-baselines the wire counters along with the recorders, so the
+  /// Re-baselines the wire counters along with the core's stats, so the
   /// snapshot fold below reports the measured window only. The atomics
   /// themselves stay monotonic — quiescence probes need absolute values.
   void ResetStats() override;
 
-  /// Folds this process's counter window (wire, rx-buffer and mailbox-
-  /// overflow counters) and the reactor's write-latency histogram into a
-  /// recorder snapshot, so the coordinator's gather carries them and
-  /// cluster totals come out of Merge. Folded for the primary rank only —
-  /// the counters are process-level, and a multi-rank Totals() must not
-  /// double-count them.
+  /// Adds this process's counter window (wire and rx-buffer counters) and
+  /// the reactor's write-latency histogram to the core's fold, so the
+  /// coordinator's gather carries them and cluster totals come out of
+  /// Merge. Folded for the primary rank only — the counters are
+  /// process-level, and a multi-rank Totals() must not double-count them.
   void AugmentSnapshot(net::NodeId node, stats::Recorder& into) const override;
-
-  // ---- runtime::MailboxTransport ----
-
-  bool WaitPop(net::NodeId node, net::Packet& out) override {
-    CheckLocal(node);
-    return inbox(node).mailbox.WaitPop(out);
-  }
-
-  void Dispatch(net::Packet&& packet) override;
-
-  void CloseAll() override {
-    for (Inbox& box : inboxes_) box.mailbox.Close();
-  }
-
-  void LendAgentLock(net::NodeId node, std::mutex* agent_lock) override;
-
-  std::uint64_t enqueued() const override {
-    return enqueued_.load(std::memory_order_acquire);
-  }
-  std::uint64_t dispatched() const override {
-    return dispatched_.load(std::memory_order_acquire);
-  }
 
  private:
   /// One peer-process link: the socket, its frame queue, and the reactor
@@ -407,25 +360,6 @@ class SocketTransport final : public runtime::MailboxTransport {
   net::NodeId PrimaryOf(std::size_t group) const {
     return static_cast<net::NodeId>(group * options_.ranks_per_proc);
   }
-  /// One hosted rank's delivery state.
-  struct Inbox {
-    runtime::Channel mailbox;
-    Handler handler;
-    /// Packets pushed into `mailbox` whose handler has not returned yet.
-    /// Inline dispatch waits for zero, so it never overtakes one of them.
-    std::atomic<std::uint64_t> pending{0};
-    /// The Runtime's agent lock for this rank (null: not lent, never
-    /// inline). Guarded by lend_mu_.
-    std::mutex* agent_lock = nullptr;
-  };
-  Inbox& inbox(net::NodeId node) { return inboxes_[node - options_.rank]; }
-
-  void CheckLocal(net::NodeId node) const {
-    HMDSM_CHECK_MSG(is_local(node), "process with primary rank "
-                                        << options_.rank << " does not host "
-                                        << "node " << node);
-  }
-
   void ConnectorMain();
   /// Adopts a handshaken connection into the owning reactor thread's epoll
   /// set. `peer_shm_name` is non-empty when shm negotiation succeeded (both
@@ -478,16 +412,11 @@ class SocketTransport final : public runtime::MailboxTransport {
   /// that process hosts and a destination rank this process hosts.
   void CheckRoute(std::size_t group, net::NodeId src, net::NodeId dst,
                   const char* kind) const;
-  /// Decodes a received kData/kDelta frame and delivers its packet;
-  /// `may_inline` only for the shm reader outside a nested drain.
+  /// Decodes a received kData/kDelta frame and hands its packet to the
+  /// core's Deliver; `may_inline` only for the shm reader outside a nested
+  /// drain.
   void DeliverData(std::size_t group, FrameType type, const Buf& frame,
                    bool may_inline);
-  /// The one delivery path into a local rank: runs the handler right here
-  /// when `may_inline` and the rank is idle (see the file comment), else
-  /// pushes the packet into the rank's mailbox.
-  void Deliver(net::Packet packet, bool may_inline);
-  /// Receive accounting plus the handler, under the rank's agent lock.
-  void RunHandler(Inbox& box, net::Packet&& packet);
   /// The one enqueue path toward process `group`. Under the link lock, a
   /// retired link — or, when `forgiving`, a closing one — drops the frame
   /// and counts it (false); a strict send after Stop() aborts. Otherwise
@@ -511,14 +440,8 @@ class SocketTransport final : public runtime::MailboxTransport {
   SocketTransportOptions options_;
   std::size_t group_ = 0;        // this process's index in the mesh
   std::size_t group_count_ = 1;  // processes in the mesh
-  std::vector<net::NodeId> local_ranks_;
-  std::deque<Inbox> inboxes_;  // one per local rank
-  /// Guards every Inbox::agent_lock. The shm reader holds it (try-locked)
-  /// across an inline delivery, so a withdrawal waits that delivery out.
-  std::mutex lend_mu_;
   ControlHandler control_handler_;
   PeerDownHandler peer_down_handler_;
-  std::deque<stats::Recorder> recorders_;  // local ranks real, others zero
   std::deque<Peer> peers_;    // indexed by group; [group_] unused
   std::deque<IoThread> io_;   // the reactor pool
   Fd listener_;
@@ -536,11 +459,9 @@ class SocketTransport final : public runtime::MailboxTransport {
 
   std::atomic<std::uint64_t> wire_sent_{0};
   std::atomic<std::uint64_t> wire_received_{0};
-  std::atomic<std::uint64_t> enqueued_{0};
-  std::atomic<std::uint64_t> dispatched_{0};
   // Process-level counters, indexed by stats::Ev: the wire Evs count
-  // here, while CounterValue reads kRxBufferAllocs from rx_pool_ and
-  // kMailboxOverflowAllocs from the local mailboxes. The baselines are
+  // here, while CounterValue reads kRxBufferAllocs from rx_pool_ (the
+  // core folds kMailboxOverflowAllocs per rank). The baselines are
   // ResetStats snapshots (atomics: live stats polling may snapshot
   // concurrently with the quiescent-point reset). Wire-write accounting
   // covers data + control frames:
@@ -562,7 +483,6 @@ class SocketTransport final : public runtime::MailboxTransport {
   // hold an agent lock) — hence its own mutex, merged at snapshot time.
   mutable std::mutex write_lat_mu_;
   stats::Histogram write_latency_;
-  std::chrono::steady_clock::time_point epoch_;
 };
 
 }  // namespace hmdsm::netio

@@ -17,9 +17,9 @@
 // transitions). Self-sends go through the mailbox too, so a handler never
 // runs re-entrantly inside the sender's call stack.
 //
-// Statistics: per-node recorders, send half recorded by the sender, receive
-// half by the dispatcher at delivery (each under its node's agent lock).
-// The enqueued/dispatched counters feed Runtime::AwaitQuiescence.
+// Delivery, statistics and the enqueued/dispatched counters are the
+// shared mailbox core (mailbox_transport.h); ChannelTransport adds only
+// the send side and the optional deadline below.
 //
 // Latency injection (optional): EnableLatencyInjection stamps every
 // cross-node Send with a delivery deadline of Now() + scale *
@@ -43,11 +43,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "src/net/hockney.h"
 #include "src/runtime/mailbox_transport.h"
@@ -340,21 +338,17 @@ class Channel {
   std::atomic<std::uint64_t> overflow_allocs_{0};
 };
 
-/// The threads backend's Transport: wall clock, per-node mailboxes.
+/// The threads backend's Transport: the mailbox delivery core hosting
+/// every cluster node, plus the optional Hockney deadline.
 class ChannelTransport final : public MailboxTransport {
  public:
-  explicit ChannelTransport(std::size_t node_count);
+  explicit ChannelTransport(std::size_t node_count)
+      : MailboxTransport(node_count, 0, node_count) {}
 
-  std::size_t node_count() const override { return channels_.size(); }
-
-  void SetHandler(NodeId node, Handler handler) override {
-    HMDSM_CHECK(node < handlers_.size());
-    handlers_[node] = std::move(handler);
-  }
-
-  /// Enqueues the packet into the destination mailbox. Called with the
-  /// sender's node serialization in force (agent lock), which is what makes
-  /// the per-node send accounting race-free.
+  /// Charges a cross-node send, stamps its injected deadline, and delivers
+  /// it into the destination mailbox. Called with the sender's node
+  /// serialization in force (agent lock), which is what makes the
+  /// per-node send accounting race-free.
   void Send(NodeId src, NodeId dst, stats::MsgCat cat, Buf payload) override;
 
   /// Enables wall-clock latency injection (see file comment). `scale`
@@ -383,76 +377,22 @@ class ChannelTransport final : public MailboxTransport {
     }
   }
 
-  /// Wall-clock nanoseconds since transport construction.
-  sim::Time Now() const override {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - epoch_)
-        .count();
-  }
-
-  stats::Recorder& RecorderFor(NodeId node) override {
-    HMDSM_CHECK(node < recorders_.size());
-    return recorders_[node];
-  }
-  const stats::Recorder& RecorderFor(NodeId node) const override {
-    HMDSM_CHECK(node < recorders_.size());
-    return recorders_[node];
-  }
-
-  // ---- dispatcher plumbing (Runtime's per-node threads) ----
-
-  /// Blocks for the next packet addressed to `node`; false when closed.
-  bool WaitPop(NodeId node, net::Packet& out) override {
-    HMDSM_CHECK(node < channels_.size());
-    return channels_[node].WaitPop(out);
-  }
-
-  /// Delivers one popped packet: receive accounting plus the registered
-  /// handler. Must be called under the destination node's agent lock.
-  void Dispatch(net::Packet&& packet) override;
-
-  /// Closes every mailbox; dispatchers drain out of WaitPop with false.
-  void CloseAll() override {
-    for (Channel& c : channels_) c.Close();
-  }
-
-  /// Messages enqueued / fully handled so far. `enqueued() == dispatched()`
-  /// while no worker is running means the cluster is quiescent (a handler
-  /// increments `dispatched` only after it returns, and any message it sent
-  /// bumped `enqueued` first).
-  std::uint64_t enqueued() const override {
-    return enqueued_.load(std::memory_order_acquire);
-  }
-  std::uint64_t dispatched() const override {
-    return dispatched_.load(std::memory_order_acquire);
-  }
-
   /// Total messages delivered so far (self-sends excluded).
   std::uint64_t packets_sent() const {
     return packets_sent_.load(std::memory_order_acquire);
   }
 
-  /// Also snapshots the per-mailbox overflow-alloc and head-of-line
-  /// baselines, so the measured window reports only its own allocations
-  /// (steady state: zero — the whole point of the node pool) and only its
-  /// own inherited deadlines.
+  /// Also snapshots the head-of-line baseline, so the measured window
+  /// reports only its own inherited deadlines.
   void ResetStats() override;
 
-  /// Folds the mailbox overflow-alloc counter into `node`'s snapshot, and
-  /// the transport-wide head-of-line counter into node 0's.
+  /// Adds the transport-wide head-of-line counter to node 0's snapshot.
   void AugmentSnapshot(net::NodeId node, stats::Recorder& into) const override;
 
  private:
-  std::deque<Channel> channels_;           // per node; deque: stable refs
-  std::vector<std::uint64_t> overflow_alloc_base_;  // ResetStats snapshots
-  std::vector<Handler> handlers_;          // written before dispatch starts
-  std::deque<stats::Recorder> recorders_;  // per node; deque: stable refs
-  std::atomic<std::uint64_t> enqueued_{0};
-  std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> packets_sent_{0};
   mutable std::atomic<std::uint64_t> hol_inherited_{0};
   std::uint64_t hol_inherited_base_ = 0;  // ResetStats snapshot
-  std::chrono::steady_clock::time_point epoch_;
   net::HockneyModel inject_model_{70.0, 12.5};  // written before dispatch
   double inject_scale_ = 0.0;                   // starts; read-only after
 };

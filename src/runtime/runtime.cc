@@ -12,36 +12,27 @@ namespace hmdsm::runtime {
 Runtime::Runtime(RuntimeOptions options)
     : options_(std::move(options)),
       owned_transport_(std::make_unique<ChannelTransport>(options_.nodes)),
-      transport_(*owned_transport_) {
+      transport_(*owned_transport_),
+      local_nodes_(transport_.hosted()) {
   if (options_.inject_latency_scale > 0) {
     owned_transport_->EnableLatencyInjection(options_.model,
                                              options_.inject_latency_scale);
   }
-  local_nodes_.reserve(options_.nodes);
-  for (dsm::NodeId n = 0; n < options_.nodes; ++n) local_nodes_.push_back(n);
   Init();
 }
 
-Runtime::Runtime(RuntimeOptions options, MailboxTransport& transport,
-                 std::vector<dsm::NodeId> local_nodes)
-    : options_(std::move(options)), transport_(transport) {
+Runtime::Runtime(RuntimeOptions options, MailboxTransport& transport)
+    : options_(std::move(options)),
+      transport_(transport),
+      local_nodes_(transport_.hosted()) {
   HMDSM_CHECK_MSG(transport_.node_count() == options_.nodes,
                   "external transport sized for " << transport_.node_count()
                                                   << " nodes, options say "
                                                   << options_.nodes);
   HMDSM_CHECK_MSG(options_.inject_latency_scale <= 0,
                   "latency injection is the channel transport's feature");
-  HMDSM_CHECK_MSG(!local_nodes.empty(), "a process must host at least one "
-                                        "rank");
-  for (const dsm::NodeId n : local_nodes) HMDSM_CHECK(n < options_.nodes);
-  local_nodes_ = std::move(local_nodes);
   Init();
 }
-
-Runtime::Runtime(RuntimeOptions options, MailboxTransport& transport,
-                 dsm::NodeId local_node)
-    : Runtime(std::move(options), transport,
-              std::vector<dsm::NodeId>{local_node}) {}
 
 void Runtime::Init() {
   HMDSM_CHECK_MSG(options_.nodes >= 1 && options_.nodes <= 0x10000,

@@ -64,21 +64,17 @@ class Guest;
 ///     and hosts every cluster node — one agent + dispatcher per node;
 ///   * external transport (sockets backend): the caller supplies a
 ///     MailboxTransport (netio::SocketTransport) and the Runtime hosts the
-///     given set of local ranks — one agent + dispatcher each; the other
+///     ranks that transport hosts — one agent + dispatcher each; the other
 ///     ranks live in other OS processes reached over the wire.
 class Runtime {
  public:
   explicit Runtime(RuntimeOptions options);
-  /// External-transport mode: host `local_nodes` of the cluster behind
-  /// `transport` (which the caller owns and must outlive this Runtime) —
-  /// one agent + dispatcher per hosted node; the remaining ranks live in
-  /// other OS processes reached over the wire. Latency injection is the
-  /// channel transport's feature — rejected here.
-  Runtime(RuntimeOptions options, MailboxTransport& transport,
-          std::vector<dsm::NodeId> local_nodes);
-  /// Convenience overload for a process that hosts one rank.
-  Runtime(RuntimeOptions options, MailboxTransport& transport,
-          dsm::NodeId local_node);
+  /// External-transport mode: host the nodes `transport` hosts (which the
+  /// caller owns and must outlive this Runtime) — one agent + dispatcher
+  /// per hosted node; the remaining ranks live in other OS processes
+  /// reached over the wire. Latency injection is the channel transport's
+  /// feature — rejected here.
+  Runtime(RuntimeOptions options, MailboxTransport& transport);
   ~Runtime();
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -91,7 +87,6 @@ class Runtime {
                     "transport() needs the in-process channel mode");
     return *owned_transport_;
   }
-  MailboxTransport& mailbox() { return transport_; }
 
   /// True when this process hosts `node`'s agent (always, in-process).
   bool hosts(dsm::NodeId node) const {
@@ -159,7 +154,7 @@ class Runtime {
   RuntimeOptions options_;
   std::unique_ptr<ChannelTransport> owned_transport_;  // in-process mode
   MailboxTransport& transport_;
-  std::vector<dsm::NodeId> local_nodes_;  // nodes hosted by this process
+  std::vector<dsm::NodeId> local_nodes_;  // transport_.hosted()
   std::vector<std::unique_ptr<NodeCell>> cells_;  // indexed by node id
   std::vector<std::thread> dispatchers_;
   bool shut_down_ = false;

@@ -5,7 +5,9 @@
 //   * runtime::ChannelTransport (in-process mailboxes, threads backend)
 //   * netio::SocketTransport   (TCP mesh; here several ranks in one
 //                               process, each with its own transport,
-//                               exchanging real localhost TCP traffic)
+//                               exchanging real localhost TCP traffic —
+//                               or every rank in one transport, where only
+//                               the shared mailbox core runs)
 //
 // The contract the protocol engine relies on: per-sender FIFO delivery,
 // Broadcast reaching exactly everyone-but-the-sender, self-sends being
@@ -86,34 +88,55 @@ class SimMesh final : public Mesh {
   net::Network network_;
 };
 
+// --- the mailbox core -------------------------------------------------------
+
+/// Any mesh built on runtime::MailboxTransport: the channel transport and
+/// every socket shape share this one delivery fixture, so they differ only
+/// in which transport hosts a node.
+class MailboxMesh : public Mesh {
+ public:
+  net::Transport& at(NodeId src) override { return host(src); }
+  void SetHandler(NodeId node, net::Transport::Handler h) override {
+    host(node).SetHandler(node, std::move(h));
+  }
+  void Pump(NodeId node, std::size_t packets) override {
+    runtime::MailboxTransport& t = host(node);
+    Packet p;
+    for (std::size_t i = 0; i < packets; ++i) {
+      ASSERT_TRUE(t.WaitPop(node, p));
+      t.Dispatch(std::move(p));
+    }
+  }
+  stats::Recorder Merged() override {
+    stats::Recorder total;
+    total.SetNodeCount(nodes());
+    for (NodeId r = 0; r < nodes(); ++r) total.Merge(host(r).RecorderFor(r));
+    return total;
+  }
+
+ protected:
+  /// The transport hosting `node`.
+  virtual runtime::MailboxTransport& host(NodeId node) = 0;
+};
+
 // --- in-process channels ----------------------------------------------------
 
-class ChannelMesh final : public Mesh {
+class ChannelMesh final : public MailboxMesh {
  public:
   explicit ChannelMesh(std::size_t n) : transport_(n) {}
   ~ChannelMesh() override { transport_.CloseAll(); }
 
   std::size_t nodes() const override { return transport_.node_count(); }
-  net::Transport& at(NodeId) override { return transport_; }
-  void SetHandler(NodeId node, net::Transport::Handler h) override {
-    transport_.SetHandler(node, std::move(h));
-  }
-  void Pump(NodeId node, std::size_t packets) override {
-    Packet p;
-    for (std::size_t i = 0; i < packets; ++i) {
-      ASSERT_TRUE(transport_.WaitPop(node, p));
-      transport_.Dispatch(std::move(p));
-    }
-  }
-  stats::Recorder Merged() override { return transport_.Totals(); }
 
  private:
+  runtime::MailboxTransport& host(NodeId) override { return transport_; }
+
   runtime::ChannelTransport transport_;
 };
 
 // --- TCP sockets ------------------------------------------------------------
 
-class SocketMesh final : public Mesh {
+class SocketMesh final : public MailboxMesh {
  public:
   /// `ranks_per_proc` > 1 hosts consecutive ranks on one transport (the
   /// multi-rank-hosting shape the CLI's --ranks-per-proc forks), so
@@ -122,7 +145,8 @@ class SocketMesh final : public Mesh {
   /// frames are always delta-encoded where they can be; `shm` moves them
   /// onto the shared-memory rings (every group here lives in one test
   /// process, i.e. trivially same-host). The same contract assertions must
-  /// hold bit for bit on either medium.
+  /// hold bit for bit on either medium. With `ranks_per_proc == n` the
+  /// whole cluster is one transport: no wire, only the mailbox core.
   SocketMesh(std::size_t n, std::size_t ranks_per_proc,
              std::size_t io_threads, bool shm = false)
       : nodes_(n), rpp_(ranks_per_proc) {
@@ -163,27 +187,12 @@ class SocketMesh final : public Mesh {
   }
 
   std::size_t nodes() const override { return nodes_; }
-  net::Transport& at(NodeId src) override { return *groups_[src / rpp_]; }
-  void SetHandler(NodeId node, net::Transport::Handler h) override {
-    groups_[node / rpp_]->SetHandler(node, std::move(h));
-  }
-  void Pump(NodeId node, std::size_t packets) override {
-    netio::SocketTransport& t = *groups_[node / rpp_];
-    Packet p;
-    for (std::size_t i = 0; i < packets; ++i) {
-      ASSERT_TRUE(t.WaitPop(node, p));
-      t.Dispatch(std::move(p));
-    }
-  }
-  stats::Recorder Merged() override {
-    stats::Recorder total;
-    total.SetNodeCount(nodes_);
-    for (std::size_t r = 0; r < nodes_; ++r)
-      total.Merge(groups_[r / rpp_]->RecorderFor(static_cast<NodeId>(r)));
-    return total;
-  }
 
  private:
+  runtime::MailboxTransport& host(NodeId node) override {
+    return *groups_[node / rpp_];
+  }
+
   std::size_t nodes_;
   std::size_t rpp_;
   std::vector<std::unique_ptr<netio::SocketTransport>> groups_;
@@ -198,6 +207,7 @@ enum class Impl {
   kSocketIo1,    // single reactor thread: serializes every peer's I/O
   kSocketShm,    // same-host shm rings carry the data frames
   kSocketMulti,  // two ranks per transport + the shm rings
+  kSocketOneProcess,  // every rank in one transport: no wire at all
 };
 
 std::string ImplName(const ::testing::TestParamInfo<Impl>& info) {
@@ -208,6 +218,7 @@ std::string ImplName(const ::testing::TestParamInfo<Impl>& info) {
     case Impl::kSocketIo1: return "SocketTransportSingleIoThread";
     case Impl::kSocketShm: return "SocketTransportShm";
     case Impl::kSocketMulti: return "SocketTransportMultiRank";
+    case Impl::kSocketOneProcess: return "SocketTransportOneProcess";
   }
   return "?";
 }
@@ -222,6 +233,8 @@ std::unique_ptr<Mesh> MakeMesh(Impl impl, std::size_t nodes) {
       return std::make_unique<SocketMesh>(nodes, 1, 4, /*shm=*/true);
     case Impl::kSocketMulti:
       return std::make_unique<SocketMesh>(nodes, 2, 4, /*shm=*/true);
+    case Impl::kSocketOneProcess:
+      return std::make_unique<SocketMesh>(nodes, nodes, 4);
   }
   return nullptr;
 }
@@ -340,7 +353,8 @@ INSTANTIATE_TEST_SUITE_P(AllTransports, TransportConformance,
                          ::testing::Values(Impl::kSim, Impl::kChannel,
                                            Impl::kSocket, Impl::kSocketIo1,
                                            Impl::kSocketShm,
-                                           Impl::kSocketMulti),
+                                           Impl::kSocketMulti,
+                                           Impl::kSocketOneProcess),
                          ImplName);
 
 }  // namespace

@@ -21,9 +21,9 @@ constexpr std::size_t kProcs = 3;
 /// One process of the mesh: its transport, the runtime hosting its one
 /// rank, and the coordinator, constructed in the sockets backend's order.
 struct Proc {
-  Proc(SocketTransportOptions options, net::NodeId rank)
+  explicit Proc(SocketTransportOptions options)
       : transport(std::move(options)),
-        rt(Options(), transport, rank),
+        rt(Options(), transport),
         coord(transport, rt, /*lead=*/0) {}
 
   static runtime::RuntimeOptions Options() {
@@ -56,8 +56,7 @@ class CoordinatorRounds : public ::testing::Test {
       o.peers = peers;
       o.listen_fd = fds[r];
       o.shm = false;
-      procs_.push_back(
-          std::make_unique<Proc>(std::move(o), static_cast<net::NodeId>(r)));
+      procs_.push_back(std::make_unique<Proc>(std::move(o)));
     }
     for (auto& p : procs_) p->transport.Start();
     for (auto& p : procs_) p->transport.AwaitConnected();

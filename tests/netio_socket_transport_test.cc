@@ -106,8 +106,8 @@ TEST(SocketTransportControl, MalformedControlFrameDiesNamingTheSender) {
         ro.nodes = 2;
         SocketTransport t0(mesh.Options(0));
         SocketTransport t1(mesh.Options(1));
-        runtime::Runtime rt0(ro, t0, 0);
-        runtime::Runtime rt1(ro, t1, 1);
+        runtime::Runtime rt0(ro, t0);
+        runtime::Runtime rt1(ro, t1);
         Coordinator c0(t0, rt0, 0);
         Coordinator c1(t1, rt1, 0);
         t0.Start();
@@ -519,6 +519,73 @@ TEST(InlineDispatch, EchoesThatFillBothRingsComplete) {
 // the reader parks on the lock instead), hence the rounds.
 TEST(InlineDispatch, EchoesFromTwoRanksPerProcessComplete) {
   RunEchoesThatFillBothRings(/*ranks_per_proc=*/2, /*rounds=*/40);
+}
+
+// A ring writer parked on a full ring holds its link's lock. Here rank 1's
+// handler blocks on the shm reader, so that reader stops draining and rank
+// 0's ring toward it fills, parking rank 0's sender inside its Send. Rank
+// 0's Stop() must still return: it wakes the parked writer before it
+// takes the link locks.
+TEST(ShmTeardown, StopReturnsWhileARingWriterIsParked) {
+  constexpr std::size_t kFrameBytes = 16 * 1024;
+  constexpr int kFrames = 64;
+  static_assert(kFrames * kFrameBytes > 2 * kShmRingBytes);
+  std::atomic<bool> release{false};
+  std::atomic<bool> blocked{false};
+  std::atomic<bool> blocked_inline{false};
+  std::atomic<int> sent{0};
+  // Set once the mesh exists (the rings give TSan no ordering to see).
+  std::atomic<ShmMesh*> mesh_ptr{nullptr};
+  std::vector<ShmMesh::Handler> handlers(2);
+  handlers[0] = [](net::Packet) {};
+  handlers[1] = [&](net::Packet) {
+    if (blocked.exchange(true)) return;
+    // Inline iff no dispatcher has ever picked up a packet for rank 1.
+    blocked_inline.store(
+        mesh_ptr.load(std::memory_order_acquire)->mailbox_runs(1) == 0);
+    while (!release.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  ShmMesh mesh(/*ranks_per_proc=*/1, handlers);
+  mesh_ptr.store(&mesh, std::memory_order_release);
+  ASSERT_TRUE(mesh.shm_links()) << "shm rings did not come up";
+
+  std::thread sender([&] {
+    Bytes payload(kFrameBytes, Byte{0x5A});
+    payload[0] = Byte{0};  // no protocol kind: never delta-encoded
+    try {
+      for (int i = 0; i < kFrames; ++i) {
+        mesh.Send(0, 1, payload);
+        sent.fetch_add(1);
+      }
+    } catch (const CheckError&) {
+      // A send that starts after Stop() is refused; that is the end.
+    }
+  });
+  ASSERT_TRUE(WaitFor([&] { return blocked.load(); }));
+  // The ring holds fewer than kFrames frames, so the sender parks.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_TRUE(blocked_inline.load()) << "rank 1's handler ran on a "
+                                        "dispatcher; the ring never filled";
+  EXPECT_LT(sent.load(), kFrames);
+
+  // Both processes are past the run (a link EOF is a goodbye, not a death).
+  mesh.at(0).BeginShutdown();
+  mesh.at(1).BeginShutdown();
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    mesh.at(0).Stop();
+    stopped.store(true);
+  });
+  if (!WaitFor([&] { return stopped.load(); }, std::chrono::seconds(5))) {
+    // The parked writer holds the link lock that Stop() waits for; the
+    // threads cannot be unwound, so fail the whole binary.
+    std::fprintf(stderr, "Stop() hung behind a parked ring writer\n");
+    std::_Exit(1);
+  }
+  stopper.join();
+  sender.join();
+  release.store(true);
 }
 
 }  // namespace

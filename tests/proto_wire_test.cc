@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "src/util/rng.h"
+
 namespace hmdsm::proto {
 namespace {
 
@@ -195,6 +200,75 @@ TEST(WireMalformed, HostilePayloadLengthIsRejected) {
   AnyMsg out;
   std::string error;
   EXPECT_FALSE(TryDecode(wire, &out, &error));
+}
+
+// One valid encoding of every message kind, cut at every length and
+// flipped at seeded positions: the defensive decoder must either decode
+// the result or refuse it with a diagnostic — never throw, never crash.
+// Run under ASan+UBSan, this is the decoder's memory-safety check.
+TEST(WireMalformed, SeededMutationsOfEveryKindDecodeOrFailCleanly) {
+  const ObjectId obj = ObjectId::Make(1, 2, 77);
+  const LockId lock = LockId::Make(3, 5);
+  const BarrierId barrier = BarrierId::Make(0, 9);
+  const std::vector<std::pair<ObjectId, Bytes>> diffs = {
+      {obj, Bytes(24, Byte{4})}, {ObjectId::Make(0, 1, 3), Bytes{1, 2}}};
+  core::ObjPolicyState pol;
+  pol.frozen_threshold = 2.5;
+  pol.consecutive_writer = 1;
+  pol.epoch = 4;
+  const std::vector<Bytes> valid = {
+      Encode(ObjRequest{obj, 2, true}),
+      Encode(ObjReply{obj, Bytes(40, Byte{7}), 3}),
+      Encode(MigrateReply{obj, Bytes(16, Byte{8}), pol}),
+      Encode(Redirect{obj, 2, true}),
+      Encode(DiffMsg{obj, Bytes(20, Byte{6}), 11, true, 3}),
+      Encode(DiffAck{12}),
+      Encode(LockAcquireMsg{lock, diffs}),
+      Encode(LockGrantMsg{lock}),
+      Encode(LockReleaseMsg{lock, diffs}),
+      Encode(BarrierArriveMsg{barrier, 4, diffs}),
+      Encode(BarrierReleaseMsg{barrier}),
+      Encode(InitObjectMsg{obj, Bytes(32, Byte{9}), 13}),
+      Encode(InitAckMsg{13}),
+      Encode(ManagerUpdateMsg{obj, 2}),
+      Encode(ManagerLookupMsg{obj}),
+      Encode(ManagerReplyMsg{obj, 1}),
+      Encode(HomeBroadcastMsg{obj, 3}),
+      Encode(ChainUpdateMsg{obj, 2, 6}),
+  };
+  std::set<Kind> kinds;
+  for (const Bytes& wire : valid) {
+    AnyMsg out;
+    std::string error;
+    ASSERT_TRUE(TryDecode(wire, &out, &error)) << error;
+    kinds.insert(PeekKind(wire));
+  }
+  ASSERT_EQ(kinds.size(), std::variant_size_v<AnyMsg>);
+
+  // Decodes `wire`; a refusal must say why.
+  auto check = [](ByteSpan wire, const std::string& what) {
+    AnyMsg out;
+    std::string error;
+    bool ok = false;
+    EXPECT_NO_THROW(ok = TryDecode(wire, &out, &error)) << what;
+    EXPECT_TRUE(ok || !error.empty()) << what << ": refused silently";
+  };
+  for (const Bytes& wire : valid) {
+    const auto kind = static_cast<int>(PeekKind(wire));
+    for (std::size_t len = 0; len < wire.size(); ++len) {
+      check(ByteSpan(wire.data(), len), "kind " + std::to_string(kind) +
+                                            " cut to " + std::to_string(len));
+    }
+  }
+  constexpr int kMutations = 4000;
+  SplitMix64 rng(0x5EED0F1A7ull);
+  for (int i = 0; i < kMutations; ++i) {
+    Bytes wire = valid[rng.next() % valid.size()];
+    const int flips = 1 + static_cast<int>(rng.next() % 3);
+    for (int f = 0; f < flips; ++f)
+      wire[rng.next() % wire.size()] ^= static_cast<Byte>(1 + rng.next() % 255);
+    check(wire, "mutation " + std::to_string(i));
+  }
 }
 
 TEST(Ids, ObjectIdFieldPacking) {

@@ -286,68 +286,35 @@ TEST(Runtime, ResetMeasurementZeroesTheWindow) {
   rt.Shutdown();
 }
 
-/// A ChannelTransport behind the external-transport seam that records
-/// which agent locks the Runtime lends it.
-class LendRecordingTransport final : public MailboxTransport {
+/// A transport hosting nodes 1 and 2 of a 3-node cluster, whose sends
+/// stay in its own mailboxes; it exposes the agent locks lent to it.
+class PartialTransport final : public MailboxTransport {
  public:
-  explicit LendRecordingTransport(std::size_t nodes)
-      : inner_(nodes), lent_(nodes, nullptr) {}
-
-  std::mutex* lent(net::NodeId node) {
-    std::lock_guard lock(mu_);
-    return lent_[node];
-  }
-
-  void LendAgentLock(net::NodeId node, std::mutex* agent_lock) override {
-    std::lock_guard lock(mu_);
-    lent_[node] = agent_lock;
-  }
-  std::size_t node_count() const override { return inner_.node_count(); }
-  void SetHandler(net::NodeId node, Handler handler) override {
-    inner_.SetHandler(node, std::move(handler));
-  }
+  PartialTransport() : MailboxTransport(3, 1, 2) {}
+  using MailboxTransport::lent_agent_lock;
   void Send(net::NodeId src, net::NodeId dst, stats::MsgCat cat,
             Buf payload) override {
-    inner_.Send(src, dst, cat, std::move(payload));
+    Deliver(net::Packet{src, dst, cat, std::move(payload)},
+            /*may_inline=*/false);
   }
-  sim::Time Now() const override { return inner_.Now(); }
-  stats::Recorder& RecorderFor(net::NodeId node) override {
-    return inner_.RecorderFor(node);
-  }
-  const stats::Recorder& RecorderFor(net::NodeId node) const override {
-    return inner_.RecorderFor(node);
-  }
-  bool WaitPop(net::NodeId node, net::Packet& out) override {
-    return inner_.WaitPop(node, out);
-  }
-  void Dispatch(net::Packet&& packet) override {
-    inner_.Dispatch(std::move(packet));
-  }
-  void CloseAll() override { inner_.CloseAll(); }
-  std::uint64_t enqueued() const override { return inner_.enqueued(); }
-  std::uint64_t dispatched() const override { return inner_.dispatched(); }
-
- private:
-  ChannelTransport inner_;
-  std::mutex mu_;
-  std::vector<std::mutex*> lent_;
 };
 
 // The Runtime lends each hosted node's agent lock to its transport for the
 // run and withdraws every one in Shutdown, so no transport thread can
 // start a handler after it.
 TEST(Runtime, LendsAgentLocksUntilShutdown) {
-  LendRecordingTransport transport(3);
+  PartialTransport transport;
   RuntimeOptions ro;
   ro.nodes = 3;
-  Runtime rt(ro, transport, std::vector<dsm::NodeId>{0, 2});
-  ASSERT_NE(transport.lent(0), nullptr);
-  ASSERT_NE(transport.lent(2), nullptr);
-  EXPECT_EQ(transport.lent(1), nullptr);  // hosted elsewhere
-  EXPECT_NE(transport.lent(0), transport.lent(2));
+  Runtime rt(ro, transport);
+  EXPECT_FALSE(rt.hosts(0));
+  ASSERT_NE(transport.lent_agent_lock(1), nullptr);
+  ASSERT_NE(transport.lent_agent_lock(2), nullptr);
+  EXPECT_EQ(transport.lent_agent_lock(0), nullptr);  // hosted elsewhere
+  EXPECT_NE(transport.lent_agent_lock(1), transport.lent_agent_lock(2));
   rt.Shutdown();
-  EXPECT_EQ(transport.lent(0), nullptr);
-  EXPECT_EQ(transport.lent(2), nullptr);
+  EXPECT_EQ(transport.lent_agent_lock(1), nullptr);
+  EXPECT_EQ(transport.lent_agent_lock(2), nullptr);
 }
 
 TEST(Runtime, WallClockAdvances) {
