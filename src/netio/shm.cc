@@ -401,6 +401,16 @@ void ShmTransport::ReaderMain() {
     }
     if (progress) continue;
     if (stopping_.load(std::memory_order_acquire)) break;
+    // Spin first: a reply usually lands within microseconds, and while
+    // reader_waiting is clear its writer skips FUTEX_WAKE as well. Every
+    // publish, kick and Interrupt moves the doorbell.
+    if (SpinThenPark(
+            [&] {
+              return hdr->doorbell.load(std::memory_order_acquire) != db;
+            },
+            &reader_spin_)) {
+      continue;
+    }
     // Advertise the park, then re-check the doorbell via FUTEX_WAIT's
     // compare: a publish between our load and the wait changes the value
     // and the wait returns immediately. The timeout is a backstop against

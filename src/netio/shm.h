@@ -25,12 +25,17 @@
 // different mappings of the segment, so TSan sees no happens-before
 // through a ring — it may report ring-ordered accesses as races, and it
 // cannot catch a real race whose only ordering is the ring. The
-// futexes are pure sleep/wake: a parked reader advertises itself in
-// reader_waiting and waits on the segment doorbell; a writer bumps the
-// doorbell after publishing and issues FUTEX_WAKE only when a reader is
-// actually parked. The full-ring path mirrors it with a per-ring space
-// doorbell. All waits are timeout-bounded so teardown can never hang on a
-// lost wakeup or a killed peer.
+// doorbell and the futexes are pure sleep/wake. A writer bumps the
+// segment doorbell after publishing. A reader that finds every ring
+// drained first spins on the doorbell for the one SpinThenPark window
+// (util/spin.h) and re-drains the moment it moves; only then does it
+// advertise itself in reader_waiting, re-check the doorbell through
+// FUTEX_WAIT's compare, and sleep. A writer issues FUTEX_WAKE only when
+// reader_waiting is set, so a spinning reader costs its writers no
+// syscall, and the spin adds no lost-wakeup case: it ends before the
+// advertise-then-re-check sequence starts. The full-ring path mirrors the
+// park with a per-ring space doorbell. All waits are timeout-bounded so
+// teardown can never hang on a lost wakeup or a killed peer.
 //
 // Single-writer contract: WriteFrame(peer, ...) must be externally
 // serialized per peer (SocketTransport calls it under the link mutex that
@@ -59,6 +64,7 @@
 #include "src/netio/frame.h"
 #include "src/util/bufpool.h"
 #include "src/util/bytes.h"
+#include "src/util/spin.h"
 
 namespace hmdsm::netio {
 
@@ -139,6 +145,9 @@ class ShmTransport {
   /// bytes are drained now instead of at the next timeout).
   void KickReader();
 
+  /// How the reader's idle waits ended (spun into new bytes, or parked).
+  const SpinTally& reader_spin() const { return reader_spin_; }
+
   /// The first half of Stop: raises stopping_, marks the segment closed
   /// and kicks every doorbell, so in-flight WriteFrame calls (ours and
   /// peers') unblock and return false. Joins and unmaps nothing, so it is
@@ -174,6 +183,7 @@ class ShmTransport {
   /// [g] = ring g's record stream; a record may arrive across many drains.
   std::vector<RecordAssembler> rx_;
   std::atomic<bool> stopping_{false};
+  SpinTally reader_spin_;
   bool nested_ = false;  // reader thread only: inside DrainNested
   bool reader_started_ = false;
   bool stopped_ = false;

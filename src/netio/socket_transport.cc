@@ -89,6 +89,10 @@ void SocketTransport::SetPeerDownHandler(PeerDownHandler handler) {
 void SocketTransport::Start() {
   HMDSM_CHECK(!started_);
   started_ = true;
+  // The pre-bound listener is ours on every path: only a process that
+  // expects inbound dials keeps it (below); any other closes it here
+  // rather than leave it accepting into a backlog nobody drains.
+  Fd prebound(options_.listen_fd);
   if (group_count_ == 1) return;  // whole cluster in-process: no wire at all
   host_id_ = ShmTransport::HostIdentity();
   if (options_.shm) {
@@ -125,8 +129,8 @@ void SocketTransport::Start() {
   }
   // Only processes with a higher-primary peer expect inbound dials.
   if (group_ + 1 < group_count_) {
-    if (options_.listen_fd >= 0) {
-      listener_ = Fd(options_.listen_fd);
+    if (prebound.valid()) {
+      listener_ = std::move(prebound);
     } else {
       std::string error;
       listener_ = ListenOn(options_.peers[options_.rank], nullptr, &error);
@@ -1010,6 +1014,12 @@ void SocketTransport::Send(net::NodeId src, net::NodeId dst,
 
 std::uint64_t SocketTransport::CounterValue(stats::Ev ev) const {
   if (ev == stats::Ev::kRxBufferAllocs) return rx_pool_.buffer_allocs();
+  if (ev == stats::Ev::kSpinHits || ev == stats::Ev::kSpinParks) {
+    if (shm_ == nullptr) return 0;
+    const SpinTally& spin = shm_->reader_spin();
+    return (ev == stats::Ev::kSpinHits ? spin.hits : spin.parks)
+        .load(std::memory_order_relaxed);
+  }
   return evs_[static_cast<std::size_t>(ev)].load(std::memory_order_acquire);
 }
 

@@ -137,7 +137,8 @@ struct SocketTransportOptions {
   std::size_t io_threads = 4;
   /// Pre-bound listening socket to adopt (the self-fork launcher binds
   /// ephemeral ports in the parent so children cannot collide); -1 binds
-  /// peers[rank] instead.
+  /// peers[rank] instead. Start() takes ownership: a process that accepts
+  /// no dials (the highest primary, a one-process mesh) closes it there.
   int listen_fd = -1;
   /// Link-liveness heartbeat period. Each reactor thread arms a periodic
   /// timerfd and probes every peer process it owns with a Heartbeat frame;
@@ -460,11 +461,12 @@ class SocketTransport final : public runtime::MailboxTransport {
   std::atomic<std::uint64_t> wire_sent_{0};
   std::atomic<std::uint64_t> wire_received_{0};
   // Process-level counters, indexed by stats::Ev: the wire Evs count
-  // here, while CounterValue reads kRxBufferAllocs from rx_pool_ (the
-  // core folds kMailboxOverflowAllocs per rank). The baselines are
-  // ResetStats snapshots (atomics: live stats polling may snapshot
-  // concurrently with the quiescent-point reset). Wire-write accounting
-  // covers data + control frames:
+  // here, while CounterValue reads kRxBufferAllocs from rx_pool_ and the
+  // shm reader's kSpinHits/kSpinParks from shm_ (the core folds
+  // kMailboxOverflowAllocs and the dispatchers' and guests' spin counts
+  // per rank). The baselines are ResetStats snapshots (atomics: live stats
+  // polling may snapshot concurrently with the quiescent-point reset).
+  // Wire-write accounting covers data + control frames:
   // frames_enqueued - frames_coalesced + (batches) == socket_writes.
   std::array<std::atomic<std::uint64_t>, stats::kNumEvs> evs_{};
   std::array<std::atomic<std::uint64_t>, stats::kNumEvs> evs_base_{};

@@ -50,6 +50,7 @@
 #include "src/net/hockney.h"
 #include "src/runtime/mailbox_transport.h"
 #include "src/util/check.h"
+#include "src/util/spin.h"
 
 namespace hmdsm::runtime {
 
@@ -215,18 +216,18 @@ class Channel {
   ///
   /// Spin-then-block: protocol traffic is bursty request/response chains
   /// where the next packet typically lands within microseconds, while a
-  /// condvar block costs a scheduler wake (tens of microseconds) — the same
-  /// order as a modeled message latency, which would distort
-  /// measured-vs-modeled comparisons. A short bounded spin absorbs the
-  /// common case; idle dispatchers still park on the condvar.
-  bool WaitPop(net::Packet& out) {
-    const auto spin_deadline =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(20);
-    do {
-      if (closed_.load(std::memory_order_acquire)) return false;
-      if (TryPop(out)) return true;
-      std::this_thread::yield();
-    } while (std::chrono::steady_clock::now() < spin_deadline);
+  /// condvar block costs a scheduler wake. The dispatcher first polls for
+  /// the one SpinThenPark window (util/spin.h), counting the outcome into
+  /// `tally` when given; an idle dispatcher then parks on the eventcount
+  /// below.
+  bool WaitPop(net::Packet& out, SpinTally* tally = nullptr) {
+    bool popped = false;
+    const auto ready = [&] {
+      if (closed_.load(std::memory_order_acquire)) return true;
+      popped = TryPop(out);
+      return popped;
+    };
+    if (SpinThenPark(ready, tally)) return popped;
 
     for (;;) {
       // Eventcount handshake with Knock(): the waiting_ store and the

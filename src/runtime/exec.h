@@ -10,8 +10,9 @@
 //     single baton back to the discrete-event kernel, Delay advances virtual
 //     time. Bit-deterministic.
 //   * runtime::Guest   — a real std::thread bound to one node of the
-//     threads backend; Park waits on a condition variable while releasing
-//     the node's agent lock, Delay sleeps wall-clock time.
+//     threads and sockets backends; Park releases the node's agent lock,
+//     spins for the one SpinThenPark window (util/spin.h), then waits on
+//     a condition variable; Delay sleeps wall-clock time.
 //
 // The contract both implementations honour (and the protocol relies on):
 // between entering a blocking Agent call and the moment Park actually

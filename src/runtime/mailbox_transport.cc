@@ -15,9 +15,14 @@ struct MailboxTransport::Inbox {
   /// The Runtime's agent lock for this node (null: not lent, never
   /// inline). Guarded by lend_mu_.
   std::mutex* agent_lock = nullptr;
-  /// mailbox.overflow_allocs() at the last ResetStats (atomic: a live
-  /// stats poll may snapshot concurrently with the quiescent-point reset).
+  /// Spin outcomes of this node's dispatcher and guests.
+  SpinTally spin;
+  /// mailbox.overflow_allocs() and the spin counts at the last ResetStats
+  /// (atomic: a live stats poll may snapshot concurrently with the
+  /// quiescent-point reset).
   std::atomic<std::uint64_t> overflow_alloc_base{0};
+  std::atomic<std::uint64_t> spin_hits_base{0};
+  std::atomic<std::uint64_t> spin_parks_base{0};
 };
 
 MailboxTransport::MailboxTransport(std::size_t node_count,
@@ -46,7 +51,12 @@ MailboxTransport::Inbox& MailboxTransport::inbox(net::NodeId node) const {
 }
 
 bool MailboxTransport::WaitPop(net::NodeId node, net::Packet& out) {
-  return inbox(node).mailbox.WaitPop(out);
+  Inbox& box = inbox(node);
+  return box.mailbox.WaitPop(out, &box.spin);
+}
+
+SpinTally& MailboxTransport::spin_tally(net::NodeId node) const {
+  return inbox(node).spin;
 }
 
 void MailboxTransport::CloseAll() {
@@ -118,15 +128,30 @@ void MailboxTransport::ResetStats() {
     Inbox& box = inboxes_[i];
     box.overflow_alloc_base.store(box.mailbox.overflow_allocs(),
                                   std::memory_order_release);
+    box.spin_hits_base.store(box.spin.hits.load(std::memory_order_relaxed),
+                             std::memory_order_release);
+    box.spin_parks_base.store(box.spin.parks.load(std::memory_order_relaxed),
+                              std::memory_order_release);
   }
 }
 
 void MailboxTransport::AugmentSnapshot(net::NodeId node,
                                        stats::Recorder& into) const {
   const Inbox& box = inbox(node);
+  // Baselines first: a counter read after its baseline is at least the
+  // value ResetStats stored, so a racing reset cannot underflow a delta.
+  const std::uint64_t overflow_base =
+      box.overflow_alloc_base.load(std::memory_order_acquire);
+  const std::uint64_t hits_base =
+      box.spin_hits_base.load(std::memory_order_acquire);
+  const std::uint64_t parks_base =
+      box.spin_parks_base.load(std::memory_order_acquire);
   into.Bump(stats::Ev::kMailboxOverflowAllocs,
-            box.mailbox.overflow_allocs() -
-                box.overflow_alloc_base.load(std::memory_order_acquire));
+            box.mailbox.overflow_allocs() - overflow_base);
+  into.Bump(stats::Ev::kSpinHits,
+            box.spin.hits.load(std::memory_order_relaxed) - hits_base);
+  into.Bump(stats::Ev::kSpinParks,
+            box.spin.parks.load(std::memory_order_relaxed) - parks_base);
 }
 
 }  // namespace hmdsm::runtime

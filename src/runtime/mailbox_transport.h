@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "src/net/transport.h"
+#include "src/util/spin.h"
 
 namespace hmdsm::runtime {
 
@@ -78,6 +79,11 @@ class MailboxTransport : public net::Transport {
   /// Blocks for the next packet addressed to hosted `node`; returns false
   /// once the mailbox is closed.
   bool WaitPop(net::NodeId node, net::Packet& out);
+
+  /// The spin outcomes of hosted `node`'s waits: its dispatcher's WaitPop
+  /// and its guests' Park (runtime.h). Folded into the node's snapshot as
+  /// Ev::kSpinHits / kSpinParks.
+  SpinTally& spin_tally(net::NodeId node) const;
 
   /// Delivers one popped packet: mailbox dwell, then the receive step.
   /// Must be called under the destination node's agent lock.
@@ -108,14 +114,15 @@ class MailboxTransport : public net::Transport {
     (void)packet;
   }
 
-  /// Also re-baselines every hosted mailbox's overflow-alloc counter, so
-  /// the measured window reports only its own allocations.
+  /// Also re-baselines every hosted node's overflow-alloc and spin
+  /// counters, so the measured window reports only its own.
   void ResetStats() override;
 
   /// Folds statistics that live outside the recorders into a snapshot of
   /// hosted `node`'s recorder: here, its mailbox's overflow allocations
-  /// in the window; fabrics add their own. Called by Runtime::
-  /// SnapshotRecorder/Totals on the copy, never on the live recorder.
+  /// and its waits' spin outcomes in the window; fabrics add their own.
+  /// Called by Runtime::SnapshotRecorder/Totals on the copy, never on the
+  /// live recorder.
   virtual void AugmentSnapshot(net::NodeId node, stats::Recorder& into) const;
 
  protected:

@@ -185,19 +185,8 @@ void Runtime::Shutdown() {
 Guest::Guest(Runtime& rt, dsm::NodeId node, std::string name)
     : rt_(rt), node_(node), name_(std::move(name)) {
   HMDSM_CHECK(node < rt_.nodes());
+  spin_ = &rt_.transport_.spin_tally(node_);
   if (name_.empty()) name_ = "guest@n" + std::to_string(node);
-}
-
-template <typename Fn>
-void Guest::WithAgent(Fn&& fn) {
-  Runtime::NodeCell& cell = rt_.cell(node_);
-  std::unique_lock<std::mutex> lock(cell.mu);
-  active_lock_ = &lock;
-  struct Clear {  // reset even if the protocol CHECK-throws
-    Guest* g;
-    ~Clear() { g->active_lock_ = nullptr; }
-  } clear{this};
-  fn(*cell.agent);
 }
 
 void Guest::CreateObject(dsm::ObjectId obj, ByteSpan initial) {
@@ -246,20 +235,34 @@ std::uint64_t Guest::Park() {
   HMDSM_CHECK(!parked_);
   parked_ = true;
   // Releases the agent lock while waiting — the dispatcher takes over the
-  // node, exactly like the simulator's baton handoff to the kernel.
-  cv_.wait(*active_lock_, [&] { return notified_; });
+  // node, exactly like the simulator's baton handoff to the kernel. The
+  // reply usually lands within the spin window: then take the lock the
+  // moment the unparking handler lets go of it, with no condvar wake.
+  active_lock_->unlock();
+  const auto notified = [this] {
+    return notified_.load(std::memory_order_acquire);
+  };
+  if (SpinThenPark(notified, spin_)) {
+    if (!SpinThenPark([this] { return active_lock_->try_lock(); }))
+      active_lock_->lock();
+  } else {
+    // Unpark sets notified_ under the agent lock, so the predicate read
+    // under it cannot miss one.
+    active_lock_->lock();
+    cv_.wait(*active_lock_, notified);
+  }
   parked_ = false;
-  notified_ = false;
+  notified_.store(false, std::memory_order_relaxed);
   return token_;
 }
 
 void Guest::Unpark(std::uint64_t token) {
   // Caller holds this node's agent lock (handlers and guests only run
   // under it), which is what makes this state change safe.
-  HMDSM_CHECK_MSG(parked_ && !notified_,
+  HMDSM_CHECK_MSG(parked_ && !notified_.load(std::memory_order_relaxed),
                   "unparking guest '" << name_ << "' that is not parked");
   token_ = token;
-  notified_ = true;
+  notified_.store(true, std::memory_order_release);
   cv_.notify_one();
 }
 

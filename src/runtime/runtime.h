@@ -16,8 +16,9 @@
 //     Agent API through a Guest context bound to one node;
 //   * one mutex per node (the "agent lock") serializes all access to that
 //     node's Agent — dispatcher and guests alike. Guest::Park releases the
-//     lock while blocked (condition-variable style), which is the threads
-//     equivalent of the simulator's single-baton handoff;
+//     lock while blocked (a bounded spin, then condition-variable style),
+//     which is the threads equivalent of the simulator's single-baton
+//     handoff;
 //   * the clock is the wall clock.
 //
 // Protocol races that the simulator schedules deterministically — migration
@@ -27,6 +28,7 @@
 // tests assert that a scenario's checksum is identical on both backends.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -193,24 +195,41 @@ class Guest final : public Exec {
 
   /// Wall-clock sleep. Callable only outside the blocking ops above.
   void Delay(sim::Time dt) override;
+  /// Releases the agent lock, spins on the Unpark flag for the one
+  /// SpinThenPark window (util/spin.h) and, once it is set, takes the lock
+  /// back by try-lock as the unparking handler releases it. A wait the
+  /// window does not cover re-locks and sleeps on the condvar.
   std::uint64_t Park() override;
+  /// Sets the flag (release) and notifies, under the agent lock.
   void Unpark(std::uint64_t token = 0) override;
 
- private:
   /// Runs `fn(agent)` under the node's agent lock, exposing the lock to
-  /// Park for the duration.
+  /// Park for the duration: the blocking ops above are each one such call.
   template <typename Fn>
-  void WithAgent(Fn&& fn);
+  void WithAgent(Fn&& fn) {
+    Runtime::NodeCell& cell = rt_.cell(node_);
+    std::unique_lock<std::mutex> lock(cell.mu);
+    active_lock_ = &lock;
+    struct Clear {  // reset even if the protocol CHECK-throws
+      Guest* g;
+      ~Clear() { g->active_lock_ = nullptr; }
+    } clear{this};
+    fn(*cell.agent);
+  }
 
+ private:
   Runtime& rt_;
   dsm::NodeId node_;
   std::string name_;
-  // Park/Unpark state; guarded by the node's agent lock.
+  // Park/Unpark state; guarded by the node's agent lock. notified_ is
+  // written only under it too, but is atomic because Park's spin reads it
+  // with the lock released.
   std::unique_lock<std::mutex>* active_lock_ = nullptr;
   std::condition_variable cv_;
   bool parked_ = false;
-  bool notified_ = false;
+  std::atomic<bool> notified_{false};
   std::uint64_t token_ = 0;
+  SpinTally* spin_ = nullptr;  // the node's tally in the transport
 };
 
 }  // namespace hmdsm::runtime

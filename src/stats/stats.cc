@@ -49,6 +49,8 @@ std::string_view EvName(Ev ev) {
     case Ev::kInlineDispatches: return "inline_dispatches";
     case Ev::kMailboxOverflowAllocs: return "mailbox_overflow_allocs";
     case Ev::kRxBufferAllocs: return "rx_buffer_allocs";
+    case Ev::kSpinHits: return "spin_hits";
+    case Ev::kSpinParks: return "spin_parks";
     case Ev::kHolInherited: return "hol_inherited";
     case Ev::kCount: break;
   }

@@ -56,6 +56,10 @@ enum class Ev : std::uint8_t {
                         // reader ran itself, skipping the mailbox
   kMailboxOverflowAllocs, // overflow nodes allocated (not pool-recycled)
   kRxBufferAllocs,      // receive-path buffers allocated (not pool-recycled)
+  // Delivery-thread waits (threads + sockets backends; util/spin.h): waits
+  // the bounded spin satisfied, and waits that went on to park.
+  kSpinHits,
+  kSpinParks,
   // Threads backend, latency injection only: deliveries that overshot
   // their own deadline behind a head-of-line sleep (runtime/channel.h).
   kHolInherited,

@@ -3,11 +3,13 @@
 // segment. Frames larger than the ring stream through it, record headers
 // survive the wrap point at every offset, a concurrent writer's frames
 // arrive in FIFO order, hostile segment names and geometries are refused,
-// and a torn ring (a rejected record length) is reported exactly once.
+// a torn ring (a rejected record length) is reported exactly once, and a
+// reader parked on its futex wakes for the next frame at once.
 #include "src/netio/shm.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -17,6 +19,8 @@
 #include <vector>
 
 #include "src/netio/frame.h"
+#include "src/util/spin.h"
+#include "tests/watchdog.h"
 
 namespace hmdsm::netio {
 namespace {
@@ -90,6 +94,8 @@ class RingPair {
     std::lock_guard lock(mu_);
     return fatals_;
   }
+
+  const SpinTally& reader_spin() const { return rx_->reader_spin(); }
 
   std::size_t frame_count() {
     std::lock_guard lock(mu_);
@@ -211,6 +217,32 @@ TEST(NetioShm, TornRingIsReportedOnceNamingTheWriter) {
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   EXPECT_EQ(ring.fatals().size(), 1u);
   EXPECT_EQ(ring.frame_count(), 1u);
+}
+
+// A frame published after the reader spun out and parked on its futex is
+// delivered at once: the writer sees reader_waiting and issues FUTEX_WAKE.
+// A lost wakeup would show as the reader's 50 ms backstop on every round.
+TEST(NetioShm, FramePublishedToAParkedReaderWakesItPromptly) {
+  Watchdog dog("frame to a parked shm reader");
+  constexpr std::uint32_t kRounds = 5;
+  RingPair ring;
+  std::vector<std::chrono::steady_clock::duration> took;
+  for (std::uint32_t i = 0; i < kRounds; ++i) {
+    // Publish only once the reader has counted a park (on a loaded host a
+    // spin can outlast the test's sleep and end in a hit), and after 5x
+    // the window, by which time it sleeps in FutexWait.
+    const std::uint64_t parks = ring.reader_spin().parks.load();
+    while (ring.reader_spin().parks.load() == parks)
+      std::this_thread::sleep_for(kSpinWindow);
+    std::this_thread::sleep_for(5 * kSpinWindow);
+    const Bytes f = Frame(i, 64);
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(ring.Write(ByteSpan(f)));
+    ASSERT_EQ(ring.AwaitFrames(i + 1).size(), i + 1);
+    took.push_back(std::chrono::steady_clock::now() - start);
+  }
+  std::sort(took.begin(), took.end());
+  EXPECT_LT(took[kRounds / 2], std::chrono::milliseconds(10));
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// SocketTransport at the edges of a run's lifetime: a peer that speaks an
-// older protocol version at handshake, a peer that sends a malformed
-// control frame or an out-of-bounds record length, and a peer process that
-// is gone while the survivor is still shutting down and writing toward it.
+// SocketTransport at the edges of a run's lifetime: the pre-bound listener
+// it adopts, a peer that speaks an older protocol version at handshake, a
+// peer that sends a malformed control frame or an out-of-bounds record
+// length, and a peer process that is gone while the survivor is still
+// shutting down and writing toward it.
 #include "src/netio/socket_transport.h"
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -57,6 +60,48 @@ struct TwoRankMesh {
     return o;
   }
 };
+
+/// True when `fd` names no open file description in this process.
+bool FdClosed(int fd) {
+  errno = 0;
+  return ::fcntl(fd, F_GETFD) == -1 && errno == EBADF;
+}
+
+// The launcher's pre-bound listener belongs to the transport from Start()
+// on, whether or not the process accepts dials on it: after Stop() it is
+// closed in a one-process mesh, in the highest-primary process (which
+// accepts nothing) and in the lowest (which accepted on it).
+TEST(SocketTransportListener, StopClosesThePreboundListenerOnEveryPath) {
+  {
+    std::uint16_t port = 0;
+    std::string error;
+    const int fd = ListenOn("127.0.0.1:0", &port, &error).release();
+    ASSERT_GE(fd, 0) << error;
+    SocketTransportOptions o;
+    o.rank = 0;
+    o.peers = {"127.0.0.1:" + std::to_string(port)};
+    o.listen_fd = fd;
+    o.heartbeat_interval_ms = 0;
+    o.shm = false;
+    SocketTransport alone(o);
+    alone.Start();
+    alone.Stop();
+    EXPECT_TRUE(FdClosed(fd)) << "one-process mesh kept its listener";
+  }
+  TwoRankMesh mesh;
+  SocketTransport rank0(mesh.Options(0));
+  SocketTransport rank1(mesh.Options(1));
+  rank0.Start();
+  rank1.Start();
+  rank0.AwaitConnected();
+  rank1.AwaitConnected();
+  rank0.BeginShutdown();
+  rank1.BeginShutdown();
+  rank1.Stop();
+  rank0.Stop();
+  EXPECT_TRUE(FdClosed(mesh.listen_fds[0])) << "rank 0 kept its listener";
+  EXPECT_TRUE(FdClosed(mesh.listen_fds[1])) << "rank 1 kept its listener";
+}
 
 // A v7 peer's Hello carries a feature-flags word that v8 dropped, so the
 // rest of its layout does not decode as v8. The listener must read the

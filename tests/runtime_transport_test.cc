@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "src/util/serde.h"
+#include "src/util/spin.h"
+#include "tests/watchdog.h"
 
 namespace hmdsm::runtime {
 namespace {
@@ -64,6 +68,37 @@ TEST(Channel, BlockedConsumerGetsThePushedPacket) {
   consumer.join();
   EXPECT_EQ(got.src, 2u);
   EXPECT_EQ(UnTag(got.payload), 42u);
+}
+
+// A push to a consumer that has spun out and parked on the eventcount
+// wakes it through Knock's notify. A lost wakeup would show as the 10 ms
+// timed-wait backstop on every round.
+TEST(Channel, PushToAParkedConsumerWakesItPromptly) {
+  Watchdog dog("push to a parked consumer");
+  constexpr int kRounds = 5;
+  Channel ch;
+  SpinTally tally;
+  std::vector<std::chrono::steady_clock::duration> took;
+  for (int i = 0; i < kRounds; ++i) {
+    const std::uint64_t parks = tally.parks.load();
+    net::Packet got;
+    std::chrono::steady_clock::time_point popped;
+    std::thread consumer([&] {
+      EXPECT_TRUE(ch.WaitPop(got, &tally));
+      popped = std::chrono::steady_clock::now();
+    });
+    // Push once the spin has ended in a park, and after 5x the window, by
+    // which time the consumer sleeps on the eventcount.
+    while (tally.parks.load() == parks) std::this_thread::yield();
+    std::this_thread::sleep_for(5 * kSpinWindow);
+    const auto pushed = std::chrono::steady_clock::now();
+    ch.Push(net::Packet{1, 0, MsgCat::kObj, Tag(static_cast<std::uint64_t>(i))});
+    consumer.join();
+    EXPECT_EQ(UnTag(got.payload), static_cast<std::uint64_t>(i));
+    took.push_back(popped - pushed);
+  }
+  std::sort(took.begin(), took.end());
+  EXPECT_LT(took[kRounds / 2], std::chrono::milliseconds(5));
 }
 
 // ---------------------------------------------------------------------------
@@ -315,6 +350,68 @@ TEST(Runtime, LendsAgentLocksUntilShutdown) {
   rt.Shutdown();
   EXPECT_EQ(transport.lent_agent_lock(1), nullptr);
   EXPECT_EQ(transport.lent_agent_lock(2), nullptr);
+}
+
+/// Parks one guest of node 0 inside an agent call and, `delay` after it
+/// released the agent lock (and, with `await_park`, after its spin ended
+/// in a park), unparks it with `token` from a second guest of the node
+/// (under the agent lock, as a handler would). Returns the token Park
+/// returned.
+std::uint64_t ParkThenUnparkAfter(Runtime& rt, std::chrono::microseconds delay,
+                                  std::uint64_t token, bool await_park) {
+  Guest parker(rt, 0, "parker");
+  Guest waker(rt, 0, "waker");
+  const SpinTally& spin = rt.transport().spin_tally(0);
+  const std::uint64_t parks = spin.parks.load();
+  std::atomic<bool> parking{false};
+  std::uint64_t got = ~token;
+  std::thread t([&] {
+    parker.WithAgent([&](dsm::Agent&) {
+      parking.store(true);
+      got = parker.Park();
+    });
+  });
+  while (!parking.load()) std::this_thread::yield();
+  // The waker's lock waits until Park has let the agent lock go.
+  waker.WithAgent([](dsm::Agent&) {});
+  if (await_park) {
+    while (spin.parks.load() == parks) std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(delay);
+  waker.WithAgent([&](dsm::Agent&) { parker.Unpark(token); });
+  t.join();
+  return got;
+}
+
+// Unparked while it still spins: Park sees the flag, takes the agent lock
+// back as the waker lets go, and returns the waker's token.
+TEST(GuestPark, UnparkInsideTheSpinWindowReturnsItsToken) {
+  Watchdog dog("guest unparked inside the spin window");
+  Runtime rt(Opts(1));
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const auto delay = (i % 2 == 0) ? std::chrono::microseconds(0)
+                                    : kSpinWindow / 4;
+    ASSERT_EQ(ParkThenUnparkAfter(rt, delay, i, /*await_park=*/false), i);
+  }
+  rt.Shutdown();
+}
+
+// Unparked once the spin has ended in a park and 3x the window later: Park
+// has re-locked and sleeps on the condvar, so only Unpark's notify can
+// wake it.
+TEST(GuestPark, UnparkAfterTheSpinWindowReturnsItsToken) {
+  Watchdog dog("guest unparked after the spin window");
+  Runtime rt(Opts(1));
+  const stats::Recorder before = rt.SnapshotRecorder(0);
+  for (std::uint64_t i = 0; i < 5; ++i)
+    ASSERT_EQ(ParkThenUnparkAfter(rt, 3 * kSpinWindow, 100 + i,
+                                  /*await_park=*/true),
+              100 + i);
+  const stats::Recorder after = rt.SnapshotRecorder(0);
+  EXPECT_GE(after.Count(stats::Ev::kSpinParks) -
+                before.Count(stats::Ev::kSpinParks),
+            1u);
+  rt.Shutdown();
 }
 
 TEST(Runtime, WallClockAdvances) {
